@@ -2,8 +2,9 @@
 
 Exit codes: 0 when the queried property is verified or holds, 1 when it
 is refuted (a witness is printed), 2 on input errors, 3 when a search or
-enumeration budget was exhausted.  ``--format json`` emits one JSON
-document on stdout; identical invocations produce byte-identical output.
+enumeration budget was exhausted, 4 when an internal invariant failed (a
+bug, never bad input).  ``--format json`` emits one JSON document on
+stdout; identical invocations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -26,33 +27,17 @@ from .composite import (
     check_lemma3,
     composite_from_dict,
 )
-from .core import LogicDescription, load_logic, validate_logic
+from .core import LogicDescription, validate_logic
 from .errors import (
     AxiomViolation,
-    CertificateFailed,
-    CheckFailed,
-    DimensionMismatch,
-    EquivalenceViolated,
+    EmptyStateSpace,
     LemmaViolated,
     LogicInputError,
     NoBounds,
     NotAPartialOrder,
-    NotBoolean,
-    NotInjective,
-    NotAnAtom,
-    NotOrderPreserving,
-    OperatorInvariantError,
     OrthoNotInvolutive,
-    OrthoNotPreserved,
-    PreconditionFailed,
     QLogicError,
-    SearchBudgetExceeded,
-    StateInvariantError,
-    UnitNotPreserved,
-    UnknownFixture,
-    VertexBudgetExceeded,
-    ZeroCondition,
-    EmptyStateSpace,
+    UndefinedTransition,
 )
 from .fixtures import fixture_names, load_fixture
 from .morphisms import (
@@ -62,7 +47,6 @@ from .morphisms import (
     validate_automorphism,
     validate_morphism,
 )
-from .errors import UndefinedTransition
 from .states import (
     DEFAULT_VERTEX_BUDGET,
     State,
@@ -83,66 +67,45 @@ def _transition_or_none(logic, f, e):
     except UndefinedTransition:
         return None
 
-_INPUT_ERRORS = (
-    LogicInputError, UnknownFixture, StateInvariantError, PreconditionFailed,
-    ZeroCondition, NotBoolean, NotAnAtom, NotInjective, DimensionMismatch,
-    OperatorInvariantError, OSError, json.JSONDecodeError, KeyError, ValueError,
-)
-_REFUTATIONS = (
-    LemmaViolated, CertificateFailed, EquivalenceViolated, CheckFailed,
-)
-_BUDGETS = (SearchBudgetExceeded, VertexBudgetExceeded)
-
 
 # ---------------------------------------------------------------------------
 # loading helpers
 # ---------------------------------------------------------------------------
 
-def _load_description(path: str) -> LogicDescription:
-    return load_logic(path)
+def _read_json(path):
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
 
 
-def _load_valid_logic(path: str, budget=None):
-    return validate_logic(_load_description(path), max_elements=1024)
-
-
-def _resolve(ref, base: Path):
-    """A path string (relative to the referencing file) or an inline dict."""
+def _logic(ref, base: Path | None = None):
+    """Validate a logic given as a file path (relative to ``base``, the
+    directory of the referencing file) or as an inline dict."""
     if isinstance(ref, str):
-        with open(base / ref, encoding="utf-8") as fh:
-            return json.load(fh)
-    return ref
+        ref = _read_json(ref if base is None else base / ref)
+    return validate_logic(LogicDescription.from_dict(ref))
 
 
 def _load_composite(path: str):
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
     base = Path(path).parent
-
-    def load_fn(ref):
-        return validate_logic(
-            LogicDescription.from_dict(_resolve(ref, base)), max_elements=1024
-        )
-
-    return composite_from_dict(data, load_fn)
+    return composite_from_dict(_read_json(path), lambda ref: _logic(ref, base))
 
 
 def _load_state(path: str):
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    base = Path(path).parent
-    logic = validate_logic(
-        LogicDescription.from_dict(_resolve(data["logic"], base)),
-        max_elements=1024,
-    )
-    values = [parse_rational(t) for t in data["values"]]
+    data = _read_json(path)
+    logic = _logic(data["logic"], Path(path).parent)
+    try:
+        values = [parse_rational(t) for t in data["values"]]
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise LogicInputError(f"malformed state values: {exc}") from exc
     return logic, State(logic, values)
 
 
 def _load_matrix(path: str) -> np.ndarray:
-    with open(path, encoding="utf-8") as fh:
-        rows = json.load(fh)
-    return np.array([[complex(re, im) for re, im in row] for row in rows])
+    rows = _read_json(path)
+    try:
+        return np.array([[complex(re, im) for re, im in row] for row in rows])
+    except (TypeError, ValueError) as exc:
+        raise LogicInputError(f"malformed matrix: {exc}") from exc
 
 
 def _parse_vector(text: str) -> np.ndarray:
@@ -164,9 +127,9 @@ def _state_payload(state: State) -> dict:
 # ---------------------------------------------------------------------------
 
 def _cmd_validate(args):
-    desc = _load_description(args.logic)
+    desc = LogicDescription.from_dict(_read_json(args.logic))
     try:
-        logic = validate_logic(desc, max_elements=1024)
+        logic = validate_logic(desc)
     except AxiomViolation as exc:
         return 1, {
             "command": "validate", "verdict": "invalid",
@@ -187,7 +150,7 @@ def _cmd_validate(args):
 
 
 def _cmd_atoms(args):
-    logic = _load_valid_logic(args.logic)
+    logic = _logic(args.logic)
     return 0, {
         "command": "atoms",
         "atoms": _labels(logic, logic.atoms),
@@ -196,7 +159,7 @@ def _cmd_atoms(args):
 
 
 def _cmd_compat(args):
-    logic = _load_valid_logic(args.logic)
+    logic = _logic(args.logic)
     members = [logic.index(lbl) for lbl in args.members.split(",") if lbl]
     verdict = is_compatible_subset(logic, members, budget=args.budget)
     payload = {
@@ -210,9 +173,9 @@ def _cmd_compat(args):
 
 
 def _cmd_states(args):
-    logic = _load_valid_logic(args.logic)
+    logic = _logic(args.logic)
     try:
-        poly = state_polytope(logic, method=args.method, budget=args.budget)
+        poly = state_polytope(logic, budget=args.budget)
     except EmptyStateSpace:
         return 1, {"command": "states", "verdict": "empty_state_space"}
     return 0, {
@@ -223,7 +186,7 @@ def _cmd_states(args):
 
 
 def _cmd_check(args):
-    logic = _load_valid_logic(args.logic)
+    logic = _logic(args.logic)
     cond = args.condition.upper()
     if cond == "F":
         rep = check_condition_F(logic)
@@ -279,7 +242,7 @@ def _cmd_condprob(args):
 
 
 def _cmd_transprob(args):
-    logic = _load_valid_logic(args.logic)
+    logic = _logic(args.logic)
     f = logic.index(args.future)
     e = logic.index(args.given)
     res = transition_probability(logic, f, e)
@@ -296,7 +259,7 @@ def _cmd_transprob(args):
 
 
 def _cmd_autos(args):
-    logic = _load_valid_logic(args.logic)
+    logic = _logic(args.logic)
     autos = automorphisms(logic, budget=args.budget)
     return 0, {
         "command": "autos",
@@ -309,7 +272,7 @@ def _cmd_autos(args):
 
 
 def _cmd_product(args):
-    factor = _load_valid_logic(args.logic)
+    factor = _logic(args.logic)
     comp = boolean_product(factor)
     payload = {
         "command": "product",
@@ -349,18 +312,14 @@ def _cmd_check_J(args):
 
 
 def _load_morphism(path: str):
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = _read_json(path)
     base = Path(path).parent
-    source = validate_logic(
-        LogicDescription.from_dict(_resolve(data["source"], base)),
-        max_elements=1024,
-    )
-    target = validate_logic(
-        LogicDescription.from_dict(_resolve(data["target"], base)),
-        max_elements=1024,
-    )
-    mapping = [int(x) for x in data["map"]]
+    source = _logic(data["source"], base)
+    target = _logic(data["target"], base)
+    try:
+        mapping = [int(x) for x in data["map"]]
+    except (TypeError, ValueError) as exc:
+        raise LogicInputError(f"malformed morphism map: {exc}") from exc
     return validate_morphism(source, target, mapping)
 
 
@@ -595,11 +554,12 @@ def build_parser() -> argparse.ArgumentParser:
                     "and no-cloning certificates",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=("human", "json"), default="human")
 
     def add(name, handler, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+        p = sub.add_parser(name, parents=[fmt], **kwargs)
         p.set_defaults(handler=handler)
-        p.add_argument("--format", choices=("human", "json"), default="human")
         return p
 
     p = add("validate", _cmd_validate, help="check the axioms of a logic file")
@@ -616,7 +576,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("states", _cmd_states, help="enumerate the state polytope")
     p.add_argument("logic")
-    p.add_argument("--method", choices=("basis", "dd"), default="basis")
     p.add_argument("--budget", type=int, default=DEFAULT_VERTEX_BUDGET)
 
     p = add("check", _cmd_check, help="check a state-space condition")
@@ -685,10 +644,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f", required=True)
     p.add_argument("--budget", type=int, default=2_000_000)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("human", "json"), default="human")
+    common = argparse.ArgumentParser(add_help=False, parents=[fmt])
     common.add_argument("--tolerance", type=float, default=hb.DEFAULT_TOL)
-    common.add_argument("--seed", type=int, default=0)
     hp = sub.add_parser("hilbert", help="matrix-model computations")
     hp.set_defaults(handler=_cmd_hilbert, format="human")
     hsub = hp.add_subparsers(dest="hilbert_command", required=True)
@@ -709,6 +666,7 @@ def build_parser() -> argparse.ArgumentParser:
     q = hsub.add_parser("lemma2", parents=[common])
     q.add_argument("--dim", type=int, default=3)
     q.add_argument("--trials", type=int, default=100)
+    q.add_argument("--seed", type=int, default=0)
     q = hsub.add_parser("clone-test", parents=[common])
     q.add_argument("--unitary", required=True)
     q.add_argument("--C", required=True, help="semicolon-separated vectors")
@@ -717,16 +675,13 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--xi1", required=True)
     q.add_argument("--xi2", required=True)
 
-    fmt_only = argparse.ArgumentParser(add_help=False)
-    fmt_only.add_argument("--format", choices=("human", "json"),
-                          default="human")
     p = sub.add_parser("fixture", help="bundled example logics")
     p.set_defaults(handler=_cmd_fixture, format="human")
     fsub = p.add_subparsers(dest="fixture_command", required=True)
-    fsub.add_parser("list", parents=[fmt_only])
-    q = fsub.add_parser("info", parents=[fmt_only])
+    fsub.add_parser("list", parents=[fmt])
+    q = fsub.add_parser("info", parents=[fmt])
     q.add_argument("name")
-    q = fsub.add_parser("export", parents=[fmt_only])
+    q = fsub.add_parser("export", parents=[fmt])
     q.add_argument("name")
     q.add_argument("path")
 
@@ -760,25 +715,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         code, payload = args.handler(args)
-    except _BUDGETS as exc:
-        code, payload = 3, {"command": args.command, "error": "budget_exceeded",
-                            "detail": str(exc)}
-    except _REFUTATIONS as exc:
-        code, payload = 1, {"command": args.command, "error": "refuted",
-                            "detail": str(exc)}
-    except _INPUT_ERRORS as exc:
-        code, payload = 2, {"command": args.command, "error": "input",
-                            "detail": str(exc)}
-    except (NotOrderPreserving, OrthoNotPreserved, UnitNotPreserved,
-            AxiomViolation, NotAPartialOrder, NoBounds,
-            OrthoNotInvolutive) as exc:
-        # invalid structures supplied to commands that need valid ones
-        code, payload = 2, {"command": args.command, "error": "input",
-                            "detail": str(exc)}
-    except EmptyStateSpace as exc:
-        code, payload = 1, {"command": args.command,
-                            "error": "empty_state_space", "detail": str(exc)}
     except QLogicError as exc:
+        code, payload = exc.exit_code, {"command": args.command,
+                                        "error": exc.kind, "detail": str(exc)}
+    except (OSError, ValueError, KeyError) as exc:
         code, payload = 2, {"command": args.command, "error": "input",
                             "detail": str(exc)}
     if args.format == "json":

@@ -38,7 +38,7 @@ from .morphisms import (
     iter_automorphisms,
     validate_automorphism,
 )
-from .states import atomic_state, transition_probability
+from .states import atomic_state, state_polytope, transition_probability
 
 
 class CloneProblem:
@@ -80,25 +80,16 @@ class CloneProblem:
         self.blank_state = atomic_state(factor, f)
 
 
-def is_cloning_transformation(problem: CloneProblem, T: Automorphism,
-                              method: str = "atomic") -> bool:
+def is_cloning_transformation(problem: CloneProblem, T: Automorphism) -> bool:
     """Does the automorphism satisfy the cloning definition?
 
-    method "atomic" evaluates the definition on the qualifying atomic
-    states; method "vertices" instead sweeps the ambient polytope
-    vertices for qualifying states (slow cross-validation path).  Both
-    are compared against the inverse-image criterion on meet atoms; a
+    The definition is evaluated on the qualifying atomic states and
+    compared against the inverse-image criterion on meet atoms; a
     divergence would falsify the reduction and aborts.
     """
-    comp = problem.composite
-    if T.source is not comp.ambient:
+    if T.source is not problem.composite.ambient:
         raise LogicInputError("automorphism does not act on the ambient logic")
-    if method == "atomic":
-        definition_ok = _definition_on_atomic_states(problem, T)
-    elif method == "vertices":
-        definition_ok = _definition_on_vertices(problem, T)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    definition_ok = _definition_on_atomic_states(problem, T)
     grid_ok = all(
         T.inverse[problem.input_atom[e]] == problem.copied_atom[e]
         for e in problem.C
@@ -125,8 +116,8 @@ def _definition_on_atomic_states(problem: CloneProblem, T: Automorphism) -> bool
 
 
 def _definition_on_vertices(problem: CloneProblem, T: Automorphism) -> bool:
-    from .states import state_polytope
-
+    """The cloning definition swept over the ambient polytope vertices:
+    the slow reference the atomic-state reduction is tested against."""
     comp = problem.composite
     targets = set(problem.factor_state.values())
     poly = state_polytope(comp.ambient)

@@ -92,8 +92,7 @@ def boolean_product(factor: FiniteLogic) -> CompositeLogic:
     names = [
         f"({factor.labels[a]},{factor.labels[b]})" for a in atoms for b in atoms
     ]
-    ambient = validate_logic(boolean_algebra(k * k, atom_names=names),
-                             max_elements=1 << (k * k))
+    ambient = validate_logic(boolean_algebra(k * k, atom_names=names))
     mask_index = ambient._mask_index
 
     def row_mask(e):

@@ -25,7 +25,7 @@ from .errors import (
     OrthoNotInvolutive,
 )
 
-DEFAULT_MAX_ELEMENTS = 256
+DEFAULT_MAX_ELEMENTS = 1024
 
 
 @dataclass(frozen=True)
@@ -313,17 +313,18 @@ class FiniteLogic:
 _CONSTRUCTION_TOKEN = object()
 
 
-def validate_logic(raw: LogicDescription, max_elements: int | None = None) -> FiniteLogic:
+def validate_logic(raw: LogicDescription,
+                   max_elements: int = DEFAULT_MAX_ELEMENTS) -> FiniteLogic:
     """Check axioms (A)-(E) on the closed order and build a FiniteLogic.
 
     Raises ``NotAPartialOrder``, ``NoBounds``, ``OrthoNotInvolutive`` or
     ``AxiomViolation`` (with witness elements) when the description is not
     an orthomodular poset.
     """
-    limit = DEFAULT_MAX_ELEMENTS if max_elements is None else max_elements
     n = len(raw.labels)
-    if n > limit:
-        raise LogicInputError(f"{n} elements exceeds the configured maximum {limit}")
+    if n > max_elements:
+        raise LogicInputError(
+            f"{n} elements exceeds the configured maximum {max_elements}")
     labels = raw.labels
     leq = transitive_closure(n, raw.le_pairs)
 

@@ -1,8 +1,27 @@
-"""Exception hierarchy shared by all qlogic modules."""
+"""Exception hierarchy shared by all qlogic modules.
+
+Every class carries the exit code and the ``error`` kind the CLI reports
+when an error of that class ends a command: 1 "refuted" or
+"empty_state_space", 2 "input", 3 "budget_exceeded", 4 "internal".
+"""
 
 
 class QLogicError(Exception):
     """Base class for all errors raised by this package."""
+
+    exit_code = 2
+    kind = "input"
+
+
+class Refuted(QLogicError):
+    """A mechanically checked identity failed; carries the compared values."""
+
+    exit_code = 1
+    kind = "refuted"
+
+    def __init__(self, message, details=None):
+        self.details = details or {}
+        super().__init__(message)
 
 
 # ---------------------------------------------------------------------------
@@ -59,9 +78,15 @@ class NoInfimum(QLogicError):
 class SearchBudgetExceeded(QLogicError):
     """A combinatorial search hit its node budget; the answer is unknown."""
 
+    exit_code = 3
+    kind = "budget_exceeded"
+
 
 class VertexBudgetExceeded(QLogicError):
     """Vertex enumeration hit its budget; the vertex list is incomplete."""
+
+    exit_code = 3
+    kind = "budget_exceeded"
 
 
 # ---------------------------------------------------------------------------
@@ -70,6 +95,9 @@ class VertexBudgetExceeded(QLogicError):
 
 class EmptyStateSpace(QLogicError):
     """The logic admits no state at all."""
+
+    exit_code = 1
+    kind = "empty_state_space"
 
 
 class ZeroCondition(QLogicError):
@@ -93,7 +121,7 @@ class StateInvariantError(QLogicError):
     """A value vector violates the state axioms (bounds or additivity)."""
 
 
-class EquivalenceViolated(QLogicError):
+class EquivalenceViolated(Refuted):
     """The four atom identities did not agree; carries the truth table."""
 
     def __init__(self, table, message):
@@ -121,12 +149,8 @@ class NotInjective(QLogicError):
     """Map required to be injective is not."""
 
 
-class LemmaViolated(QLogicError):
+class LemmaViolated(Refuted):
     """A mechanically checked lemma identity failed; carries both sides."""
-
-    def __init__(self, message, details=None):
-        self.details = details or {}
-        super().__init__(message)
 
 
 # ---------------------------------------------------------------------------
@@ -144,13 +168,12 @@ class PreconditionFailed(QLogicError):
 class ConstructionFailed(QLogicError):
     """An internally constructed map failed its own verification."""
 
+    exit_code = 4
+    kind = "internal"
 
-class CertificateFailed(QLogicError):
+
+class CertificateFailed(Refuted):
     """The no-cloning certificate found a mismatching value pair."""
-
-    def __init__(self, message, details=None):
-        self.details = details or {}
-        super().__init__(message)
 
 
 class UnknownFixture(QLogicError):
@@ -160,17 +183,16 @@ class UnknownFixture(QLogicError):
 class InternalInvariantError(QLogicError):
     """A property that is a proven consequence failed; signals a bug."""
 
+    exit_code = 4
+    kind = "internal"
+
 
 # ---------------------------------------------------------------------------
 # Hilbert model
 # ---------------------------------------------------------------------------
 
-class CheckFailed(QLogicError):
+class CheckFailed(Refuted):
     """A numerical identity check exceeded its tolerance; carries values."""
-
-    def __init__(self, message, details=None):
-        self.details = details or {}
-        super().__init__(message)
 
 
 class OperatorInvariantError(QLogicError):

@@ -12,6 +12,7 @@ exercised by the acceptance suite instead of at load time.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -24,7 +25,7 @@ from .composite import (
     boolean_product,
     check_condition_I,
     check_condition_J,
-    make_composite,
+    composite_from_dict,
 )
 from .core import FiniteLogic, LogicDescription, validate_logic
 from .errors import AxiomViolation, InternalInvariantError, QLogicError, UnknownFixture
@@ -65,25 +66,14 @@ class LoadedFixture:
     def logic(self) -> FiniteLogic:
         """Validate and cache the logic; invalid fixtures raise here."""
         if self._logic is None:
-            self._logic = validate_logic(self.description(),
-                                         max_elements=1024)
+            self._logic = validate_logic(self.description())
         return self._logic
 
     def composite(self) -> CompositeLogic:
         if self.kind != "composite":
             raise UnknownFixture(f"{self.name} is not a composite fixture")
         if self._composite is None:
-            factor = validate_logic(
-                LogicDescription.from_dict(self.data["factor"]), max_elements=1024
-            )
-            ambient = validate_logic(
-                LogicDescription.from_dict(self.data["ambient"]), max_elements=1024
-            )
-            comp = make_composite(factor, ambient,
-                                  self.data["pi1"], self.data["pi2"])
-            check_condition_I(comp)
-            check_condition_J(comp)
-            self._composite = comp
+            self._composite = _checked_composite(self.data)
         return self._composite
 
     def vectors(self) -> dict:
@@ -93,6 +83,15 @@ class LoadedFixture:
         for name, comps in self.data["vectors"].items():
             out[name] = np.array([complex(re, im) for re, im in comps])
         return out
+
+
+def _checked_composite(data: dict) -> CompositeLogic:
+    """An inline composite with both structural conditions checked."""
+    comp = composite_from_dict(
+        data, lambda d: validate_logic(LogicDescription.from_dict(d)))
+    check_condition_I(comp)
+    check_condition_J(comp)
+    return comp
 
 
 _loaded: dict = {}
@@ -262,26 +261,20 @@ def _derive_annotations(name: str, payload: dict) -> dict:
     if name == "hilbert_demo":
         return {"overlap_basis0_plus": 0.5, "cloneable_basis0_plus": False}
     if name.startswith("prod"):
-        factor = validate_logic(LogicDescription.from_dict(payload["factor"]),
-                                max_elements=1024)
-        ambient = validate_logic(LogicDescription.from_dict(payload["ambient"]),
-                                 max_elements=1024)
-        comp = make_composite(factor, ambient, payload["pi1"], payload["pi2"])
-        check_condition_I(comp)
-        check_condition_J(comp)
+        comp = _checked_composite(payload)
         ann = {
-            "factor_n": factor.n,
-            "ambient_n": ambient.n,
+            "factor_n": comp.factor.n,
+            "ambient_n": comp.ambient.n,
             "compat_images": comp.checked_compat,
             "atom_meets": comp.checked_atom_meets,
-            "ambient_aut_order": _factorial(len(ambient.atoms)),
+            "ambient_aut_order": math.factorial(len(comp.ambient.atoms)),
         }
         if name == "prod33":
             ann["deferred"] = ["ambient_aut_order"]
         return ann
     desc = LogicDescription.from_dict(payload)
     try:
-        logic = validate_logic(desc, max_elements=1024)
+        logic = validate_logic(desc)
     except AxiomViolation as exc:
         return {"valid": False, "axiom_violation": exc.axiom,
                 "n": len(desc.labels)}
@@ -302,10 +295,3 @@ def _derive_annotations(name: str, payload: dict) -> dict:
     ann["H"] = check_condition_H(logic).holds
     ann["aut_order"] = len(automorphisms(logic))
     return ann
-
-
-def _factorial(k: int) -> int:
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out

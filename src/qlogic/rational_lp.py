@@ -45,7 +45,7 @@ def rref(rows):
         r += 1
         if r == len(mat):
             break
-    return mat[:r] + mat[r:], pivots
+    return mat, pivots
 
 
 def independent_rows(A, b):
@@ -176,13 +176,6 @@ def solve_lp(A, b, c, maximize=False):
     if maximize:
         value = -value
     return LPResult("optimal", value, tuple(x))
-
-
-def feasible_point(A, b):
-    """Some point of {x >= 0, A x = b}, or None."""
-    n = len(A[0]) if A else 0
-    res = solve_lp(A, b, [ZERO] * n)
-    return res.x if res.optimal else None
 
 
 def _solve_square(cols_matrix, rhs):

@@ -228,14 +228,6 @@ class ReducedStateSpace:
     def feasible(self, extra=()) -> bool:
         return self.optimize([ZERO] * self.k, extra).optimal
 
-    def vertices_p(self, method="basis", budget=DEFAULT_VERTEX_BUDGET):
-        A, b = self.system()
-        if method == "basis":
-            return rlp.enumerate_vertices_basis(A, b, budget)
-        if method == "dd":
-            return rlp.enumerate_vertices_dd(A, b, budget)
-        raise ValueError(f"unknown vertex enumeration method {method!r}")
-
     def face_rows(self, e: int, value=ONE):
         return ((self.indicator(e), Fraction(value)),)
 
@@ -268,11 +260,21 @@ class StatePolytope:
     bound_constraints: tuple     # ((lo, hi), ...) per atom
 
 
-def state_polytope(logic: FiniteLogic, method="basis",
+def _polytope_vertices(logic, budget=DEFAULT_VERTEX_BUDGET):
+    """Vertices in atom coordinates, enumerated once per logic."""
+    verts = logic._cache.get("vertices_p")
+    if verts is None:
+        verts = rlp.enumerate_vertices_basis(*reduced_space(logic).system(),
+                                             budget)
+        logic._cache["vertices_p"] = verts
+    return verts
+
+
+def state_polytope(logic: FiniteLogic,
                    budget=DEFAULT_VERTEX_BUDGET) -> StatePolytope:
     """Enumerate every extreme state in exact arithmetic."""
     space = reduced_space(logic)
-    verts = space.vertices_p(method=method, budget=budget)
+    verts = _polytope_vertices(logic, budget)
     if not verts:
         raise EmptyStateSpace(f"{logic!r} admits no state")
     constraints = tuple((row, ZERO) for row in space.rows)
@@ -284,14 +286,6 @@ def state_polytope(logic: FiniteLogic, method="basis",
         equality_constraints=constraints,
         bound_constraints=tuple((ZERO, ONE) for _ in range(space.k)),
     )
-
-
-def _polytope_vertices(logic, budget=DEFAULT_VERTEX_BUDGET):
-    verts = logic._cache.get("vertices_p")
-    if verts is None:
-        verts = reduced_space(logic).vertices_p(budget=budget)
-        logic._cache["vertices_p"] = verts
-    return verts
 
 
 # ---------------------------------------------------------------------------
@@ -380,8 +374,8 @@ def _conditional_rows(space, base: State, e: int):
     return tuple(rows)
 
 
-def conditional_probability(logic: FiniteLogic, base: State, e: int,
-                            cross_check=True) -> ConditionalResult:
+def conditional_probability(logic: FiniteLogic, base: State,
+                            e: int) -> ConditionalResult:
     """States mu with mu(f) = base(f)/base(e) for all f <= e."""
     if base[e] == 0:
         raise ZeroCondition(
@@ -405,9 +399,7 @@ def conditional_probability(logic: FiniteLogic, base: State, e: int,
             unique = False
             first_gap = i
 
-    discrepancies = ()
-    if cross_check:
-        discrepancies = _classical_cross_check(space, base, e, rows)
+    discrepancies = _classical_cross_check(space, base, e, rows)
 
     if unique:
         p = tuple(lo_states[i].value for i in range(space.k))
@@ -715,15 +707,3 @@ def atom_equivalences(logic: FiniteLogic, e: int, f: int) -> AtomEquivalenceRepo
             f"atom identities disagree for {logic.labels[e]!r}, {logic.labels[f]!r}: {table}",
         )
     return AtomEquivalenceReport(e=e, f=f, identities=table, agree=True)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-def state_to_json_dict(state: State, logic_ref=None) -> dict:
-    return state.to_dict(logic_ref)
-
-
-def state_from_values_text(logic: FiniteLogic, texts) -> State:
-    return State(logic, [parse_rational(t) for t in texts])

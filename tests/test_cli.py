@@ -6,6 +6,7 @@ import pytest
 
 from qlogic.cli import main
 from qlogic.core import LogicDescription, validate_logic
+from qlogic.errors import CertificateFailed, InternalInvariantError
 from qlogic.fixtures import load_fixture
 from qlogic.states import State, parse_rational
 
@@ -14,7 +15,7 @@ from qlogic.states import State, parse_rational
 def fixture_files(tmp_path_factory):
     root = tmp_path_factory.mktemp("fixtures")
     paths = {}
-    for name in ("boolean2", "boolean3", "MO2", "O6", "prod22"):
+    for name in ("boolean2", "boolean3", "MO2", "O6", "prod22", "stateless"):
         path = root / f"{name}.json"
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(load_fixture(name).data, fh, indent=2)
@@ -60,13 +61,29 @@ def test_check_F_and_H_hold(fixture_files, capsys):
         assert code == 0, out
 
 
-def test_input_error_is_exit_2(capsys, tmp_path):
+def test_input_error_is_exit_2(fixture_files, capsys, tmp_path):
     code, _ = run(capsys, "validate", str(tmp_path / "missing.json"))
     assert code == 2
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     code, _ = run(capsys, "atoms", str(bad))
     assert code == 2
+    # a state value, a matrix row and a morphism map that do not parse
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps({"logic": fixture_files["boolean2"],
+                                 "values": ["0/1", "1/0", "1/2", "1/1"]}))
+    matrix = tmp_path / "matrix.json"
+    matrix.write_text("[[1, 2]]")
+    morph = tmp_path / "morph.json"
+    morph.write_text(json.dumps({"source": fixture_files["boolean2"],
+                                 "target": fixture_files["boolean2"],
+                                 "map": None}))
+    for argv in (["condprob", str(state), "--given", "x"],
+                 ["hilbert", "transition", "--e", str(matrix),
+                  "--f", str(matrix)],
+                 ["lemma1", str(morph)]):
+        code, out = run(capsys, *argv, "--format", "json")
+        assert code == 2 and json.loads(out)["error"] == "input", argv
 
 
 def test_unknown_label_is_input_error(fixture_files, capsys):
@@ -79,6 +96,37 @@ def test_budget_exceeded_is_exit_3(fixture_files, capsys):
                     "--members", "a,b", "--budget", "0", "--format", "json")
     assert code == 3
     assert json.loads(out)["error"] == "budget_exceeded"
+
+
+def _raise(exc):
+    def broken(*args, **kwargs):
+        raise exc
+    return broken
+
+
+@pytest.mark.parametrize("argv, patch, code, field, kind", [
+    (["states", "{stateless}"], None, 1, "verdict", "empty_state_space"),
+    (["check", "F", "{stateless}"], None, 1, "error", "empty_state_space"),
+    (["certify-theorem1", "--composite", "{prod22}", "--C", "x,y", "--f", "x"],
+     ("theorem1_certificate", CertificateFailed("mismatch")),
+     1, "error", "refuted"),
+    (["atoms", "{tmp}/missing.json"], None, 2, "error", "input"),
+    (["compat", "{MO2}", "--members", "a,b", "--budget", "0"], None,
+     3, "error", "budget_exceeded"),
+    (["transprob", "{MO2}", "b", "a"],
+     ("transition_probability", InternalInvariantError("broken")),
+     4, "error", "internal"),
+], ids=["states-stateless", "check-F-stateless", "refuted", "missing-file",
+        "budget", "internal"])
+def test_error_exit_codes(fixture_files, capsys, monkeypatch, tmp_path,
+                          argv, patch, code, field, kind):
+    if patch is not None:
+        name, exc = patch
+        monkeypatch.setattr(f"qlogic.cli.{name}", _raise(exc))
+    argv = [a.format(tmp=tmp_path, **fixture_files) for a in argv]
+    got, out = run(capsys, *argv, "--format", "json")
+    assert got == code
+    assert json.loads(out)[field] == kind
 
 
 def test_clone_search_contract(fixture_files, capsys):

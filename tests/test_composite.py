@@ -214,7 +214,7 @@ def test_composite_round_trip(prod22):
     data = prod22.to_dict()
 
     def load_fn(ref):
-        return validate_logic(LogicDescription.from_dict(ref), max_elements=1024)
+        return validate_logic(LogicDescription.from_dict(ref))
 
     again = composite_from_dict(data, load_fn)
     assert again.pi1.map == prod22.pi1.map

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qlogic import rational_lp as rlp
 from qlogic.builders import boolean_algebra, nonfaithful_logic, stateless_logic
 from qlogic.core import validate_logic
 from qlogic.errors import (
@@ -80,9 +81,10 @@ def test_two_element_logic_has_one_state(booleans):
 
 def test_vertex_methods_agree(booleans, mo_logics):
     for logic in (booleans[2], booleans[3], mo_logics[2], mo_logics[3]):
-        basis = state_polytope(logic, method="basis").vertices
-        dd = state_polytope(logic, method="dd").vertices
-        assert [v.values for v in basis] == [v.values for v in dd]
+        space = reduced_space(logic)
+        basis = state_polytope(logic).vertices
+        dd = rlp.enumerate_vertices_dd(*space.system())
+        assert [v.values for v in basis] == [space.state(p).values for p in dd]
 
 
 def test_vertices_are_extreme_points(mo2, b3):
@@ -220,7 +222,7 @@ def test_formulation_cross_check_silent_on_fixtures(booleans, mo2):
             for e in range(logic.n):
                 if v[e] == 0:
                     continue
-                res = conditional_probability(logic, v, e, cross_check=True)
+                res = conditional_probability(logic, v, e)
                 assert res.discrepancies == ()
 
 
