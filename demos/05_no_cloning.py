@@ -12,6 +12,8 @@ own square.
 from qlogic import (
     CloneProblem,
     boolean_product,
+    check_condition_I,
+    check_condition_J,
     check_lemma2,
     classical_cloner,
     clone_search,
@@ -24,8 +26,9 @@ factor = validate_logic(boolean_algebra(2))
 comp = boolean_product(factor)
 print("== the product of the four-element algebra with itself ==")
 print(f"ambient elements: {comp.ambient.n}")
-print(f"copies mutually compatible: {comp.checked_compat}")
-print(f"embedded atom meets are atoms: {comp.checked_atom_meets}")
+for what, check in (("copies mutually compatible", check_condition_I),
+                    ("embedded atom meets are atoms", check_condition_J)):
+    print(f"{what}: {'holds' if check(comp).holds else 'fails'}")
 
 print()
 print("== transitions multiply across the two copies ==")

@@ -26,6 +26,7 @@ from .composite import (
     check_lemma2,
     check_lemma3,
     composite_from_dict,
+    structural_verdicts,
 )
 from .core import LogicDescription, validate_logic
 from .errors import (
@@ -77,6 +78,13 @@ def _read_json(path):
         return json.load(fh)
 
 
+def _read_object(path, what: str) -> dict:
+    data = _read_json(path)
+    if not isinstance(data, dict):
+        raise LogicInputError(f"malformed {what} file: not a JSON object")
+    return data
+
+
 def _logic(ref, base: Path | None = None):
     """Validate a logic given as a file path (relative to ``base``, the
     directory of the referencing file) or as an inline dict."""
@@ -91,7 +99,7 @@ def _load_composite(path: str):
 
 
 def _load_state(path: str):
-    data = _read_json(path)
+    data = _read_object(path, "state")
     logic = _logic(data["logic"], Path(path).parent)
     try:
         values = [parse_rational(t) for t in data["values"]]
@@ -278,8 +286,7 @@ def _cmd_product(args):
         "command": "product",
         "factor_elements": comp.factor.n,
         "ambient_elements": comp.ambient.n,
-        "compat_images": comp.checked_compat,
-        "atom_meets": comp.checked_atom_meets,
+        **structural_verdicts(comp),
     }
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -312,7 +319,7 @@ def _cmd_check_J(args):
 
 
 def _load_morphism(path: str):
-    data = _read_json(path)
+    data = _read_object(path, "morphism")
     base = Path(path).parent
     source = _logic(data["source"], base)
     target = _logic(data["target"], base)

@@ -59,13 +59,9 @@ class CloneProblem:
         for a in self.C + (f,):
             if not factor.is_atom(a):
                 raise PreconditionFailed(f"{factor.labels[a]!r} is not an atom")
-        if composite.checked_compat == "unchecked":
-            check_condition_I(composite)
-        if composite.checked_atom_meets == "unchecked":
-            check_condition_J(composite)
-        if composite.checked_compat != "holds":
+        if not check_condition_I(composite).holds:
             raise PreconditionFailed("embedded copies are not mutually compatible")
-        if composite.checked_atom_meets != "holds":
+        if not check_condition_J(composite).holds:
             raise PreconditionFailed("embedded atom meets are not all atoms")
         require_state_conditions(composite.ambient, "cloning analysis")
 

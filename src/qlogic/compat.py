@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .core import FiniteLogic
+from .core import FiniteLogic, derived
 from .errors import InternalInvariantError, SearchBudgetExceeded
 
 DEFAULT_NODE_BUDGET = 1_000_000
@@ -97,21 +97,19 @@ def is_compatible_subset(logic: FiniteLogic, members,
     candidate closed sets than the budget allows; that outcome means
     "unknown", never "incompatible".
     """
-    members = frozenset(members)
-    cache = logic._cache.setdefault("compat", {})
-    if members in cache:
-        return cache[members]
-    if logic.is_boolean:
-        verdict = CompatibilityVerdict(True, frozenset(range(logic.n)))
-        cache[members] = verdict
-        return verdict
+    return _compatibility_search(logic, frozenset(members), budget)
 
+
+@derived
+def _compatibility_search(logic: FiniteLogic, members: frozenset,
+                          budget) -> CompatibilityVerdict:
+    if logic.is_boolean:
+        return CompatibilityVerdict(True, frozenset(range(logic.n)))
     seen = set()
     nodes = 0
     base = closure(logic, members)
     stack = [(base, 0)]
     seen.add(base)
-    verdict = None
     while stack:
         current, start = stack.pop()
         nodes += 1
@@ -120,8 +118,7 @@ def is_compatible_subset(logic: FiniteLogic, members,
                 f"compatibility search examined {nodes} candidate sets"
             )
         if is_boolean_subalgebra(logic, current):
-            verdict = CompatibilityVerdict(True, current)
-            break
+            return CompatibilityVerdict(True, current)
         # grow by one generator; descending push keeps index-order DFS
         for x in range(logic.n - 1, start - 1, -1):
             if x in current:
@@ -130,10 +127,7 @@ def is_compatible_subset(logic: FiniteLogic, members,
             if child not in seen:
                 seen.add(child)
                 stack.append((child, x + 1))
-    if verdict is None:
-        verdict = CompatibilityVerdict(False, None)
-    cache[members] = verdict
-    return verdict
+    return CompatibilityVerdict(False, None)
 
 
 def boolean_meet(logic: FiniteLogic, subalgebra, e: int, f: int) -> int:

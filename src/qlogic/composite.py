@@ -9,11 +9,11 @@ equivalence for atomic states.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .builders import boolean_algebra
 from .compat import mutually_compatible, DEFAULT_NODE_BUDGET
-from .core import FiniteLogic, validate_logic
+from .core import FiniteLogic, derived, validate_logic
 from .errors import (
     LemmaViolated,
     LogicInputError,
@@ -34,19 +34,14 @@ from .states import (
 
 @dataclass
 class CompositeLogic:
-    """A factor logic E with two injections into an ambient logic L.
-
-    ``checked_compat`` and ``checked_atom_meets`` record the verification
-    state of the two structural conditions: "holds", "fails" or
-    "unchecked".
-    """
+    """A factor logic E with two injections into an ambient logic L."""
 
     factor: FiniteLogic
     ambient: FiniteLogic
     pi1: Morphism
     pi2: Morphism
-    checked_compat: str = "unchecked"
-    checked_atom_meets: str = "unchecked"
+    _cache: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     def to_dict(self, factor_ref=None, ambient_ref=None) -> dict:
         return {
@@ -114,9 +109,7 @@ def boolean_product(factor: FiniteLogic) -> CompositeLogic:
     map1 = [mask_index[row_mask(e)] for e in range(factor.n)]
     map2 = [mask_index[col_mask(e)] for e in range(factor.n)]
     comp = make_composite(factor, ambient, map1, map2)
-    check_condition_I(comp)
-    check_condition_J(comp)
-    if comp.checked_compat != "holds" or comp.checked_atom_meets != "holds":
+    if not (check_condition_I(comp).holds and check_condition_J(comp).holds):
         raise PreconditionFailed(
             "product construction failed its own structural checks"
         )
@@ -139,16 +132,16 @@ class AtomMeetsReport:
     meet: int | None = None            # ambient element, None if no infimum
 
 
+@derived
 def check_condition_I(comp: CompositeLogic,
                       budget=DEFAULT_NODE_BUDGET) -> CompatImagesReport:
     """Are the two embedded copies compatible with each other?"""
-    ok = mutually_compatible(
+    return CompatImagesReport(holds=mutually_compatible(
         comp.ambient, set(comp.pi1.map), set(comp.pi2.map), budget
-    )
-    comp.checked_compat = "holds" if ok else "fails"
-    return CompatImagesReport(holds=ok)
+    ))
 
 
+@derived
 def check_condition_J(comp: CompositeLogic) -> AtomMeetsReport:
     """Is every meet of embedded factor atoms an ambient atom?"""
     ambient = comp.ambient
@@ -156,10 +149,16 @@ def check_condition_J(comp: CompositeLogic) -> AtomMeetsReport:
         for f in comp.factor.atoms:
             m = ambient.inf_or_none(comp.pi1.map[e], comp.pi2.map[f])
             if m is None or not ambient.is_atom(m):
-                comp.checked_atom_meets = "fails"
                 return AtomMeetsReport(holds=False, failing_pair=(e, f), meet=m)
-    comp.checked_atom_meets = "holds"
     return AtomMeetsReport(holds=True)
+
+
+def structural_verdicts(comp: CompositeLogic) -> dict:
+    """Conditions (I) and (J) as the "holds"/"fails" words that the CLI
+    and the fixture manifest print."""
+    return {key: "holds" if check(comp).holds else "fails"
+            for key, check in (("compat_images", check_condition_I),
+                               ("atom_meets", check_condition_J))}
 
 
 def meet_embed(comp: CompositeLogic, e: int, f: int) -> int:
@@ -174,22 +173,14 @@ def meet_embed(comp: CompositeLogic, e: int, f: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# state conditions on a logic, cached
+# state conditions on a logic
 # ---------------------------------------------------------------------------
 
-def state_condition_reports(logic: FiniteLogic):
-    """(F), (G), (H) reports for a logic, computed once and cached."""
-    return (
-        check_condition_F(logic),
-        check_condition_G(logic),
-        check_condition_H(logic),
-    )
-
-
 def require_state_conditions(logic: FiniteLogic, context: str) -> None:
-    f, g, h = state_condition_reports(logic)
-    missing = [name for name, rep in (("F", f), ("G", g), ("H", h))
-               if not rep.holds]
+    missing = [name for name, check in (("F", check_condition_F),
+                                        ("G", check_condition_G),
+                                        ("H", check_condition_H))
+               if not check(logic).holds]
     if missing:
         raise PreconditionFailed(
             f"{context} needs conditions {', '.join(missing)} to hold"
@@ -210,9 +201,7 @@ class Lemma2Report:
 
 def check_lemma2(comp: CompositeLogic, e1: int, e2: int,
                  f1: int, f2: int) -> Lemma2Report:
-    if comp.checked_compat == "unchecked":
-        check_condition_I(comp)
-    if comp.checked_compat != "holds":
+    if not check_condition_I(comp).holds:
         raise PreconditionFailed(
             "the product identity is only proved under mutual compatibility "
             "of the embedded copies"
@@ -252,11 +241,7 @@ class Lemma3Report:
 
 
 def check_lemma3(comp: CompositeLogic, e: int, f: int, rho) -> Lemma3Report:
-    if comp.checked_compat == "unchecked":
-        check_condition_I(comp)
-    if comp.checked_atom_meets == "unchecked":
-        check_condition_J(comp)
-    if comp.checked_compat != "holds" or comp.checked_atom_meets != "holds":
+    if not (check_condition_I(comp).holds and check_condition_J(comp).holds):
         raise PreconditionFailed(
             "restriction equivalence requires both structural conditions"
         )

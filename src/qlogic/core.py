@@ -9,6 +9,8 @@ and returns an immutable ``FiniteLogic`` on which all further queries run.
 
 from __future__ import annotations
 
+import functools
+import inspect
 import json
 from dataclasses import dataclass
 from functools import cached_property
@@ -26,6 +28,40 @@ from .errors import (
 )
 
 DEFAULT_MAX_ELEMENTS = 1024
+
+_EMPTY = inspect.Parameter.empty
+
+
+def derived(fn):
+    """Store ``fn(obj, *args)`` in ``obj._cache`` under ``(fn, *args)``.
+
+    Keyword and default arguments are put in positional order first, so
+    every spelling of one call shares one entry.  Exceptions are not
+    stored.  The key holds the undecorated ``fn``, so entries survive a
+    rebinding of the decorated name (as the benchmark tracer does).
+    """
+    sig = inspect.signature(fn)
+    params = tuple(sig.parameters.values())[1:]
+    names = tuple(p.name for p in params)
+    defaults = tuple(p.default for p in params)
+
+    @functools.wraps(fn)
+    def memo(obj, *args, **kwargs):
+        given = len(args)
+        if given < len(names):
+            args += tuple(kwargs.get(name, default) for name, default
+                          in zip(names[given:], defaults[given:]))
+            if _EMPTY in args or not kwargs.keys() <= set(names[given:]):
+                sig.bind(obj, *args[:given], **kwargs)  # raises TypeError
+        elif kwargs:
+            sig.bind(obj, *args, **kwargs)  # raises TypeError
+        key = (fn, *args)
+        value = obj._cache.get(key, _EMPTY)
+        if value is _EMPTY:
+            value = obj._cache[key] = fn(obj, *args)
+        return value
+
+    return memo
 
 
 @dataclass(frozen=True)
@@ -151,7 +187,7 @@ class FiniteLogic:
         self.ortho = ortho
         self.zero = int(zero)
         self.one = int(one)
-        self._cache: dict = {}
+        self._cache: dict = {}  # storage of ``derived``
 
     # -- basic queries ------------------------------------------------
 

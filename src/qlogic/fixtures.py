@@ -11,6 +11,7 @@ exercised by the acceptance suite instead of at load time.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -23,11 +24,10 @@ from . import builders
 from .composite import (
     CompositeLogic,
     boolean_product,
-    check_condition_I,
-    check_condition_J,
     composite_from_dict,
+    structural_verdicts,
 )
-from .core import FiniteLogic, LogicDescription, validate_logic
+from .core import FiniteLogic, LogicDescription, derived, validate_logic
 from .errors import AxiomViolation, InternalInvariantError, QLogicError, UnknownFixture
 from .morphisms import automorphisms
 from .states import check_condition_F, check_condition_G, check_condition_H
@@ -54,27 +54,24 @@ class LoadedFixture:
     kind: str                      # "logic" | "composite" | "vectors"
     annotations: dict
     data: dict = field(repr=False)
-
-    _logic: FiniteLogic | None = None
-    _composite: CompositeLogic | None = None
+    _cache: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     def description(self) -> LogicDescription:
         if self.kind != "logic":
             raise UnknownFixture(f"{self.name} is not a plain logic fixture")
         return LogicDescription.from_dict(self.data)
 
+    @derived
     def logic(self) -> FiniteLogic:
-        """Validate and cache the logic; invalid fixtures raise here."""
-        if self._logic is None:
-            self._logic = validate_logic(self.description())
-        return self._logic
+        """Validate the logic once; invalid fixtures raise here."""
+        return validate_logic(self.description())
 
+    @derived
     def composite(self) -> CompositeLogic:
         if self.kind != "composite":
             raise UnknownFixture(f"{self.name} is not a composite fixture")
-        if self._composite is None:
-            self._composite = _checked_composite(self.data)
-        return self._composite
+        return _inline_composite(self.data)
 
     def vectors(self) -> dict:
         if self.kind != "vectors":
@@ -85,16 +82,10 @@ class LoadedFixture:
         return out
 
 
-def _checked_composite(data: dict) -> CompositeLogic:
-    """An inline composite with both structural conditions checked."""
-    comp = composite_from_dict(
+def _inline_composite(data: dict) -> CompositeLogic:
+    """A composite whose factor and ambient are given inline."""
+    return composite_from_dict(
         data, lambda d: validate_logic(LogicDescription.from_dict(d)))
-    check_condition_I(comp)
-    check_condition_J(comp)
-    return comp
-
-
-_loaded: dict = {}
 
 
 def fixture_names() -> tuple:
@@ -105,14 +96,13 @@ def _manifest() -> dict:
     return _read_data_json("manifest.json")
 
 
+@functools.cache
 def load_fixture(name: str) -> LoadedFixture:
     """Load a fixture and check its cheap annotations.
 
     Loaded fixtures are cached per name so derived structures (state
     spaces, condition verdicts) are shared across uses.
     """
-    if name in _loaded:
-        return _loaded[name]
     manifest = _manifest()
     if name not in manifest:
         raise UnknownFixture(
@@ -123,7 +113,6 @@ def load_fixture(name: str) -> LoadedFixture:
     fx = LoadedFixture(name=name, kind=entry["kind"],
                        annotations=entry["annotations"], data=data)
     _verify_basic(fx)
-    _loaded[name] = fx
     return fx
 
 
@@ -162,13 +151,12 @@ def _verify_basic(fx: LoadedFixture) -> None:
                 )
     elif fx.kind == "composite":
         comp = fx.composite()
-        derived = {
+        checks = {
             "factor_n": comp.factor.n,
             "ambient_n": comp.ambient.n,
-            "compat_images": comp.checked_compat,
-            "atom_meets": comp.checked_atom_meets,
+            **structural_verdicts(comp),
         }
-        for key, got in derived.items():
+        for key, got in checks.items():
             if key in ann and ann[key] != got:
                 raise InternalInvariantError(
                     f"fixture {fx.name}: annotation {key}={ann[key]} "
@@ -184,25 +172,25 @@ def verify_fixture(name: str, deep: bool = False) -> dict:
     acceptance suite covers)."""
     fx = load_fixture(name)
     ann = fx.annotations
-    derived: dict = {}
+    rederived: dict = {}
     if fx.kind == "logic" and ann.get("valid", True) and deep:
         logic = fx.logic()
         deferred = set(ann.get("deferred", ()))
         if "F" in ann:
-            derived["F"] = check_condition_F(logic).holds
+            rederived["F"] = check_condition_F(logic).holds
         if "G" in ann and "G" not in deferred:
-            derived["G"] = check_condition_G(logic).holds
+            rederived["G"] = check_condition_G(logic).holds
         if "H" in ann and "H" not in deferred:
-            derived["H"] = check_condition_H(logic).holds
+            rederived["H"] = check_condition_H(logic).holds
         if "aut_order" in ann and "aut_order" not in deferred:
-            derived["aut_order"] = len(automorphisms(logic))
-        for key, got in derived.items():
+            rederived["aut_order"] = len(automorphisms(logic))
+        for key, got in rederived.items():
             if ann[key] != got:
                 raise InternalInvariantError(
                     f"fixture {name}: annotation {key}={ann[key]} "
                     f"but derived {got}"
                 )
-    return derived
+    return rederived
 
 
 # ---------------------------------------------------------------------------
@@ -261,12 +249,11 @@ def _derive_annotations(name: str, payload: dict) -> dict:
     if name == "hilbert_demo":
         return {"overlap_basis0_plus": 0.5, "cloneable_basis0_plus": False}
     if name.startswith("prod"):
-        comp = _checked_composite(payload)
+        comp = _inline_composite(payload)
         ann = {
             "factor_n": comp.factor.n,
             "ambient_n": comp.ambient.n,
-            "compat_images": comp.checked_compat,
-            "atom_meets": comp.checked_atom_meets,
+            **structural_verdicts(comp),
             "ambient_aut_order": math.factorial(len(comp.ambient.atoms)),
         }
         if name == "prod33":

@@ -16,7 +16,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .core import FiniteLogic
+from .core import FiniteLogic, derived
 from .errors import (
     InternalInvariantError,
     LemmaViolated,
@@ -167,12 +167,9 @@ class _AtomExtender:
                             tuple(int(x) for x in inverse))
 
 
+@derived
 def _atom_extender(logic: FiniteLogic) -> _AtomExtender:
-    ext = logic._cache.get("atom_extender")
-    if ext is None:
-        ext = _AtomExtender(logic)
-        logic._cache["atom_extender"] = ext
-    return ext
+    return _AtomExtender(logic)
 
 
 def _iter_atom_perms(logic: FiniteLogic, budget):

@@ -22,6 +22,17 @@ def _frac_rows(rows):
     return [[Fraction(x) for x in row] for row in rows]
 
 
+def _eliminate(mat, r, col):
+    """One Gauss-Jordan step: scale row r to a unit pivot in column col,
+    then clear col from every other row."""
+    inv = ONE / mat[r][col]
+    mat[r] = [v * inv for v in mat[r]]
+    for i in range(len(mat)):
+        if i != r and mat[i][col] != 0:
+            factor = mat[i][col]
+            mat[i] = [a - factor * b for a, b in zip(mat[i], mat[r])]
+
+
 def rref(rows):
     """Reduced row echelon form; returns (matrix, pivot column list)."""
     mat = _frac_rows(rows)
@@ -35,12 +46,7 @@ def rref(rows):
         if pivot is None:
             continue
         mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = ONE / mat[r][col]
-        mat[r] = [v * inv for v in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][col] != 0:
-                factor = mat[i][col]
-                mat[i] = [a - factor * b for a, b in zip(mat[i], mat[r])]
+        _eliminate(mat, r, col)
         pivots.append(col)
         r += 1
         if r == len(mat):
@@ -76,13 +82,7 @@ class LPResult:
 
 
 def _pivot(T, basis, row, col):
-    piv = T[row][col]
-    inv = ONE / piv
-    T[row] = [v * inv for v in T[row]]
-    for i in range(len(T)):
-        if i != row and T[i][col] != 0:
-            factor = T[i][col]
-            T[i] = [a - factor * b for a, b in zip(T[i], T[row])]
+    _eliminate(T, row, col)
     basis[row] = col
 
 
@@ -187,12 +187,7 @@ def _solve_square(cols_matrix, rhs):
         if pivot is None:
             return None
         mat[col], mat[pivot] = mat[pivot], mat[col]
-        inv = ONE / mat[col][col]
-        mat[col] = [v * inv for v in mat[col]]
-        for i in range(n):
-            if i != col and mat[i][col] != 0:
-                factor = mat[i][col]
-                mat[i] = [a - factor * b for a, b in zip(mat[i], mat[col])]
+        _eliminate(mat, col, col)
     return [mat[i][n] for i in range(n)]
 
 

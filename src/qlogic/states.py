@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from . import rational_lp as rlp
 from .compat import boolean_meet, is_compatible_subset
-from .core import FiniteLogic, find_sup
+from .core import FiniteLogic, derived, find_sup
 from .errors import (
     EmptyStateSpace,
     EquivalenceViolated,
@@ -139,8 +139,6 @@ class ReducedStateSpace:
         self.decomp = self._decompositions()
         self.rows = self._additivity_rows()
         self.norm = self.indicator(logic.one)
-        self._transition_cache: dict = {}
-        self._atomic_cache: dict = {}
 
     # -- construction ---------------------------------------------------
 
@@ -232,12 +230,9 @@ class ReducedStateSpace:
         return ((self.indicator(e), Fraction(value)),)
 
 
+@derived
 def reduced_space(logic: FiniteLogic) -> ReducedStateSpace:
-    space = logic._cache.get("reduced_space")
-    if space is None:
-        space = ReducedStateSpace(logic)
-        logic._cache["reduced_space"] = space
-    return space
+    return ReducedStateSpace(logic)
 
 
 # ---------------------------------------------------------------------------
@@ -260,14 +255,10 @@ class StatePolytope:
     bound_constraints: tuple     # ((lo, hi), ...) per atom
 
 
+@derived
 def _polytope_vertices(logic, budget=DEFAULT_VERTEX_BUDGET):
-    """Vertices in atom coordinates, enumerated once per logic."""
-    verts = logic._cache.get("vertices_p")
-    if verts is None:
-        verts = rlp.enumerate_vertices_basis(*reduced_space(logic).system(),
-                                             budget)
-        logic._cache["vertices_p"] = verts
-    return verts
+    """Vertices in atom coordinates, enumerated once per logic and budget."""
+    return rlp.enumerate_vertices_basis(*reduced_space(logic).system(), budget)
 
 
 def state_polytope(logic: FiniteLogic,
@@ -299,6 +290,7 @@ class FaithfulnessReport:
     failing_element: int | None = None
 
 
+@derived
 def check_condition_F(logic: FiniteLogic) -> FaithfulnessReport:
     """Does some state give every nonzero event positive probability?
 
@@ -306,14 +298,10 @@ def check_condition_F(logic: FiniteLogic) -> FaithfulnessReport:
     of e over the polytope; their uniform average is positive everywhere
     at once, so faithfulness reduces to n - 1 small LPs.
     """
-    cached = logic._cache.get("condition_F")
-    if cached is not None:
-        return cached
     space = reduced_space(logic)
     if not space.feasible():
         raise EmptyStateSpace("no state exists, so no faithful state exists")
     maximizers = []
-    report = None
     for e in range(logic.n):
         if e == logic.zero:
             continue
@@ -321,15 +309,11 @@ def check_condition_F(logic: FiniteLogic) -> FaithfulnessReport:
         if not res.optimal:
             raise InternalInvariantError("bounded LP did not solve")
         if res.value == 0:
-            report = FaithfulnessReport(holds=False, failing_element=e)
-            break
+            return FaithfulnessReport(holds=False, failing_element=e)
         maximizers.append(res.x)
-    if report is None:
-        m = len(maximizers)
-        avg = [sum(p[i] for p in maximizers) / m for i in range(space.k)]
-        report = FaithfulnessReport(holds=True, witness=space.state(avg))
-    logic._cache["condition_F"] = report
-    return report
+    m = len(maximizers)
+    avg = [sum(p[i] for p in maximizers) / m for i in range(space.k)]
+    return FaithfulnessReport(holds=True, witness=space.state(avg))
 
 
 # ---------------------------------------------------------------------------
@@ -447,6 +431,7 @@ class UniqueConditionalsReport:
     vertex: State | None = None       # base vertex for non-existence
 
 
+@derived
 def check_condition_G(logic: FiniteLogic,
                       budget=DEFAULT_VERTEX_BUDGET) -> UniqueConditionalsReport:
     """Existence on polytope vertices plus a two-state gap LP per event.
@@ -456,12 +441,8 @@ def check_condition_G(logic: FiniteLogic,
     base state.  Non-uniqueness for any base yields two states with value
     1 on e agreeing below e, which the gap LP detects coordinatewise.
     """
-    cached = logic._cache.get("condition_G")
-    if cached is not None:
-        return cached
     space = reduced_space(logic)
     verts = _polytope_vertices(logic, budget)
-    report = None
     for e in range(logic.n):
         if e == logic.zero:
             continue
@@ -477,24 +458,17 @@ def check_condition_G(logic: FiniteLogic,
                 base = space.state(p)
                 rows = _conditional_rows(space, base, e)
                 if not space.feasible(rows):
-                    report = UniqueConditionalsReport(
+                    return UniqueConditionalsReport(
                         holds=False, failure_kind="non_existent",
                         element=e, vertex=base,
                     )
-                    break
-        if report:
-            break
         gap = _uniqueness_gap(space, e)
         if gap is not None:
-            report = UniqueConditionalsReport(
+            return UniqueConditionalsReport(
                 holds=False, failure_kind="non_unique",
                 element=e, witnesses=gap,
             )
-            break
-    if report is None:
-        report = UniqueConditionalsReport(holds=True)
-    logic._cache["condition_G"] = report
-    return report
+    return UniqueConditionalsReport(holds=True)
 
 
 def _uniqueness_gap(space, e):
@@ -558,6 +532,7 @@ class StrongStateSpaceReport:
     vacuous_premises: tuple = ()          # events f with empty face
 
 
+@derived
 def check_condition_H(logic: FiniteLogic,
                       budget=DEFAULT_VERTEX_BUDGET) -> StrongStateSpaceReport:
     """For f not below e: some state must reach 1 on f but stay below 1
@@ -565,9 +540,6 @@ def check_condition_H(logic: FiniteLogic,
     value(f) = 1) is attained at a face vertex, and the face's vertices
     are exactly the polytope vertices lying on it, so one vertex sweep
     answers every pair."""
-    cached = logic._cache.get("condition_H")
-    if cached is not None:
-        return cached
     space = reduced_space(logic)
     verts = _polytope_vertices(logic, budget)
     ones = []
@@ -578,7 +550,6 @@ def check_condition_H(logic: FiniteLogic,
                 mask |= 1 << vi
         ones.append(mask)
     vacuous = tuple(f for f in range(logic.n) if ones[f] == 0)
-    report = None
     for f in range(logic.n):
         if ones[f] == 0:
             continue
@@ -587,18 +558,12 @@ def check_condition_H(logic: FiniteLogic,
                 continue
             if ones[f] & ~ones[e] == 0:
                 vi = ones[f].bit_length() - 1
-                report = StrongStateSpaceReport(
+                return StrongStateSpaceReport(
                     holds=False, violating_pair=(e, f),
                     evidence=space.state(verts[vi]),
                     vacuous_premises=vacuous,
                 )
-                break
-        if report:
-            break
-    if report is None:
-        report = StrongStateSpaceReport(holds=True, vacuous_premises=vacuous)
-    logic._cache["condition_H"] = report
-    return report
+    return StrongStateSpaceReport(holds=True, vacuous_premises=vacuous)
 
 
 # ---------------------------------------------------------------------------
@@ -615,13 +580,10 @@ class TransitionProbability:
     high: Fraction | None = None
 
 
+@derived
 def transition_probability(logic: FiniteLogic, f: int, e: int) -> TransitionProbability:
     """Minimize and maximize value(f) over the face value(e) = 1."""
     space = reduced_space(logic)
-    key = (f, e)
-    cached = space._transition_cache.get(key)
-    if cached is not None:
-        return cached
     face = space.face_rows(e)
     obj = space.indicator(f)
     lo = space.optimize(obj, face, maximize=False)
@@ -630,15 +592,14 @@ def transition_probability(logic: FiniteLogic, f: int, e: int) -> TransitionProb
             f"no state concentrates on {logic.labels[e]!r}"
         )
     hi = space.optimize(obj, face, maximize=True)
-    result = TransitionProbability(
+    return TransitionProbability(
         exists=lo.value == hi.value,
         value=lo.value if lo.value == hi.value else None,
         low=lo.value, high=hi.value,
     )
-    space._transition_cache[key] = result
-    return result
 
 
+@derived
 def atomic_state(logic: FiniteLogic, e: int) -> State:
     """The unique state with value 1 on the atom e.
 
@@ -649,9 +610,6 @@ def atomic_state(logic: FiniteLogic, e: int) -> State:
     if not logic.is_atom(e):
         raise NotAnAtom(f"{logic.labels[e]!r} is not an atom")
     space = reduced_space(logic)
-    cached = space._atomic_cache.get(e)
-    if cached is not None:
-        return cached
     face = space.face_rows(e)
     p = []
     for i in range(space.k):
@@ -670,9 +628,7 @@ def atomic_state(logic: FiniteLogic, e: int) -> State:
                 f"[{lo.value}, {hi.value}]"
             )
         p.append(lo.value)
-    result = space.state(p)
-    space._atomic_cache[e] = result
-    return result
+    return space.state(p)
 
 
 # ---------------------------------------------------------------------------

@@ -78,10 +78,15 @@ def test_input_error_is_exit_2(fixture_files, capsys, tmp_path):
     morph.write_text(json.dumps({"source": fixture_files["boolean2"],
                                  "target": fixture_files["boolean2"],
                                  "map": None}))
+    # state and morphism files whose top level is not an object
+    array = tmp_path / "array.json"
+    array.write_text("[]")
     for argv in (["condprob", str(state), "--given", "x"],
                  ["hilbert", "transition", "--e", str(matrix),
                   "--f", str(matrix)],
-                 ["lemma1", str(morph)]):
+                 ["lemma1", str(morph)],
+                 ["condprob", str(array), "--given", "x"],
+                 ["lemma1", str(array)]):
         code, out = run(capsys, *argv, "--format", "json")
         assert code == 2 and json.loads(out)["error"] == "input", argv
 

@@ -135,8 +135,9 @@ def test_mutual_compatibility_within_whole_mo2(mo2):
     assert mutually_compatible(mo2, block, block)
 
 
-def test_budget_exceeded_is_distinct_from_incompatible():
-    fresh = validate_logic(mo_logic(2))  # bypass the per-logic verdict cache
+def test_budget_exceeded_is_distinct_from_incompatible(mo2):
+    members = {mo2.index("a"), mo2.index("b")}
+    assert not is_compatible_subset(mo2, members).compatible
+    # the stored verdict does not answer a call with a smaller budget
     with pytest.raises(SearchBudgetExceeded):
-        is_compatible_subset(fresh, {fresh.index("a"), fresh.index("b")},
-                             budget=0)
+        is_compatible_subset(mo2, members, budget=0)

@@ -38,8 +38,8 @@ def prod11():
 def test_product_of_two_atom_algebra(prod22):
     assert prod22.factor.n == 4
     assert prod22.ambient.n == 16
-    assert prod22.checked_compat == "holds"
-    assert prod22.checked_atom_meets == "holds"
+    assert check_condition_I(prod22).holds
+    assert check_condition_J(prod22).holds
 
 
 def test_product_grid_atoms(prod22):
@@ -79,7 +79,7 @@ def test_identity_embeddings_of_mo2_fail_compatibility():
     comp = make_composite(mo2, mo2, range(mo2.n), range(mo2.n))
     rep = check_condition_I(comp)
     assert not rep.holds
-    assert comp.checked_compat == "fails"
+    assert check_condition_I(comp) is rep  # stored on the composite
 
 
 def test_identity_embeddings_fail_atom_meets(b2):
@@ -152,12 +152,12 @@ def test_lemma2_requires_defined_transitions(prod22):
         check_lemma2(prod22, factor.one, x, x, x)  # P(x|1) undefined
 
 
-def test_lemma2_requires_compatibility_condition(b2):
-    comp = make_composite(b2, b2, range(b2.n), range(b2.n))
-    comp.checked_compat = "fails"
-    x = b2.index("x")
+def test_lemma2_requires_compatibility_condition(mo2):
+    # condition (I) really fails for the identity embeddings of MO2
+    comp = make_composite(mo2, mo2, range(mo2.n), range(mo2.n))
+    a = mo2.index("a")
     with pytest.raises(PreconditionFailed):
-        check_lemma2(comp, x, x, x, x)
+        check_lemma2(comp, a, a, a, a)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import pytest
 
+from qlogic.composite import check_condition_I, check_condition_J
 from qlogic.errors import AxiomViolation, EmptyStateSpace, UnknownFixture
 from qlogic.fixtures import (
     build_fixture_payloads,
@@ -56,8 +57,8 @@ def test_nonfaithful_and_stateless():
 def test_composites_load_with_conditions():
     for name in ("prod22", "prod33"):
         comp = load_fixture(name).composite()
-        assert comp.checked_compat == "holds"
-        assert comp.checked_atom_meets == "holds"
+        assert check_condition_I(comp).holds
+        assert check_condition_J(comp).holds
 
 
 def test_hilbert_demo_vectors():
