@@ -78,10 +78,13 @@ def _read_json(path):
         return json.load(fh)
 
 
-def _read_object(path, what: str) -> dict:
+def _read_object(path, what: str, keys) -> dict:
     data = _read_json(path)
     if not isinstance(data, dict):
         raise LogicInputError(f"malformed {what} file: not a JSON object")
+    for key in keys:
+        if key not in data:
+            raise LogicInputError(f"malformed {what} file: missing {key!r}")
     return data
 
 
@@ -99,7 +102,7 @@ def _load_composite(path: str):
 
 
 def _load_state(path: str):
-    data = _read_object(path, "state")
+    data = _read_object(path, "state", ("logic", "values"))
     logic = _logic(data["logic"], Path(path).parent)
     try:
         values = [parse_rational(t) for t in data["values"]]
@@ -319,7 +322,7 @@ def _cmd_check_J(args):
 
 
 def _load_morphism(path: str):
-    data = _read_object(path, "morphism")
+    data = _read_object(path, "morphism", ("source", "target", "map"))
     base = Path(path).parent
     source = _logic(data["source"], base)
     target = _logic(data["target"], base)

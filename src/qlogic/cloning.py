@@ -38,7 +38,7 @@ from .morphisms import (
     iter_automorphisms,
     validate_automorphism,
 )
-from .states import atomic_state, state_polytope, transition_probability
+from .states import atomic_state, transition_probability
 
 
 class CloneProblem:
@@ -107,26 +107,6 @@ def _definition_on_atomic_states(problem: CloneProblem, T: Automorphism) -> bool
         if dual_state(comp.pi1, pulled) != want:
             return False
         if dual_state(comp.pi2, pulled) != want:
-            return False
-    return True
-
-
-def _definition_on_vertices(problem: CloneProblem, T: Automorphism) -> bool:
-    """The cloning definition swept over the ambient polytope vertices:
-    the slow reference the atomic-state reduction is tested against."""
-    comp = problem.composite
-    targets = set(problem.factor_state.values())
-    poly = state_polytope(comp.ambient)
-    for rho in poly.vertices:
-        first = dual_state(comp.pi1, rho)
-        if first not in targets:
-            continue
-        if dual_state(comp.pi2, rho) != problem.blank_state:
-            continue
-        pulled = dual_state(T, rho)
-        if dual_state(comp.pi1, pulled) != first:
-            return False
-        if dual_state(comp.pi2, pulled) != first:
             return False
     return True
 

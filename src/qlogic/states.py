@@ -219,12 +219,11 @@ class ReducedStateSpace:
             b.append(Fraction(rhs))
         return A, b
 
-    def optimize(self, objective, extra=(), maximize=False) -> rlp.LPResult:
-        A, b = self.system(extra)
-        return rlp.solve_lp(A, b, list(objective), maximize=maximize)
+    def polyhedron(self, extra=()) -> rlp.Polyhedron:
+        return rlp.Polyhedron(*self.system(extra))
 
     def feasible(self, extra=()) -> bool:
-        return self.optimize([ZERO] * self.k, extra).optimal
+        return self.polyhedron(extra).feasible
 
     def face_rows(self, e: int, value=ONE):
         return ((self.indicator(e), Fraction(value)),)
@@ -296,16 +295,17 @@ def check_condition_F(logic: FiniteLogic) -> FaithfulnessReport:
 
     One state positive on e is found per element by maximizing the value
     of e over the polytope; their uniform average is positive everywhere
-    at once, so faithfulness reduces to n - 1 small LPs.
+    at once, so faithfulness reduces to n - 1 objectives over one system.
     """
     space = reduced_space(logic)
-    if not space.feasible():
+    poly = space.polyhedron()
+    if not poly.feasible:
         raise EmptyStateSpace("no state exists, so no faithful state exists")
     maximizers = []
     for e in range(logic.n):
         if e == logic.zero:
             continue
-        res = space.optimize(space.indicator(e), maximize=True)
+        res = poly.solve(space.indicator(e), maximize=True)
         if not res.optimal:
             raise InternalInvariantError("bounded LP did not solve")
         if res.value == 0:
@@ -366,24 +366,22 @@ def conditional_probability(logic: FiniteLogic, base: State,
             f"base state vanishes on {logic.labels[e]!r}; conditional undefined"
         )
     space = reduced_space(logic)
-    rows = _conditional_rows(space, base, e)
-    if not space.feasible(rows):
+    poly = space.polyhedron(_conditional_rows(space, base, e))
+    if not poly.feasible:
         return ConditionalResult("non_existent", e, base)
 
     lo_states, hi_states = {}, {}
     unique = True
     first_gap = None
-    for i in range(space.k):
-        obj = [ZERO] * space.k
-        obj[i] = ONE
-        lo = space.optimize(obj, rows, maximize=False)
-        hi = space.optimize(obj, rows, maximize=True)
+    for i, a in enumerate(space.atoms):
+        lo = poly.solve(space.indicator(a))
+        hi = poly.solve(space.indicator(a), maximize=True)
         lo_states[i], hi_states[i] = lo, hi
         if lo.value != hi.value and first_gap is None:
             unique = False
             first_gap = i
 
-    discrepancies = _classical_cross_check(space, base, e, rows)
+    discrepancies = _classical_cross_check(space, base, e, poly)
 
     if unique:
         p = tuple(lo_states[i].value for i in range(space.k))
@@ -395,7 +393,7 @@ def conditional_probability(logic: FiniteLogic, base: State,
                              discrepancies=discrepancies)
 
 
-def _classical_cross_check(space, base, e, rows):
+def _classical_cross_check(space, base, e, poly):
     """Compare the f <= e formulation against classical ratios on events
     compatible with e: min and max of mu(f) must both equal
     base(f ^ e)/base(e) with the meet taken inside a witness Boolean
@@ -411,8 +409,8 @@ def _classical_cross_check(space, base, e, rows):
         meet = boolean_meet(logic, verdict.witness, e, f)
         expected = base[meet] / base[e]
         obj = space.indicator(f)
-        lo = space.optimize(obj, rows, maximize=False)
-        hi = space.optimize(obj, rows, maximize=True)
+        lo = poly.solve(obj)
+        hi = poly.solve(obj, maximize=True)
         if lo.value != expected or hi.value != expected:
             out.append((f, expected, lo.value, hi.value))
     return tuple(out)
@@ -474,9 +472,9 @@ def check_condition_G(logic: FiniteLogic,
 def _uniqueness_gap(space, e):
     """Two distinct states with value 1 on e that agree below e, or None.
 
-    Runs one LP per atom coordinate on a doubled variable vector
-    (mu1, mu2): maximize mu1_a - mu2_a subject to both being states on
-    the face value(e) = 1 with equal values below e.
+    Maximizes mu1_a - mu2_a for each free atom a over one doubled system
+    (mu1, mu2): both are states on the face value(e) = 1 with equal
+    values below e.
     """
     logic = space.logic
     k = space.k
@@ -506,15 +504,16 @@ def _uniqueness_gap(space, e):
     total = [ZERO] * k
     for i in free:
         total[i] = ONE
-    top = space.optimize(total, space.face_rows(e), maximize=True)
+    top = space.polyhedron(space.face_rows(e)).solve(total, maximize=True)
     if top.optimal and top.value == 0:
         return None
+    doubled = rlp.Polyhedron(A, b)
     # a gap can only open on atoms not pinned by an agreement row
     for i in free:
         obj = [ZERO] * (2 * k)
         obj[i] = ONE
         obj[k + i] = -ONE
-        res = rlp.solve_lp(A, b, obj, maximize=True)
+        res = doubled.solve(obj, maximize=True)
         if res.optimal and res.value > 0:
             return space.state(res.x[:k]), space.state(res.x[k:])
     return None
@@ -584,14 +583,14 @@ class TransitionProbability:
 def transition_probability(logic: FiniteLogic, f: int, e: int) -> TransitionProbability:
     """Minimize and maximize value(f) over the face value(e) = 1."""
     space = reduced_space(logic)
-    face = space.face_rows(e)
+    face = space.polyhedron(space.face_rows(e))
     obj = space.indicator(f)
-    lo = space.optimize(obj, face, maximize=False)
+    lo = face.solve(obj)
     if not lo.optimal:
         raise UndefinedTransition(
             f"no state concentrates on {logic.labels[e]!r}"
         )
-    hi = space.optimize(obj, face, maximize=True)
+    hi = face.solve(obj, maximize=True)
     return TransitionProbability(
         exists=lo.value == hi.value,
         value=lo.value if lo.value == hi.value else None,
@@ -610,21 +609,19 @@ def atomic_state(logic: FiniteLogic, e: int) -> State:
     if not logic.is_atom(e):
         raise NotAnAtom(f"{logic.labels[e]!r} is not an atom")
     space = reduced_space(logic)
-    face = space.face_rows(e)
+    face = space.polyhedron(space.face_rows(e))
     p = []
-    for i in range(space.k):
-        obj = [ZERO] * space.k
-        obj[i] = ONE
-        lo = space.optimize(obj, face, maximize=False)
+    for a in space.atoms:
+        lo = face.solve(space.indicator(a))
         if not lo.optimal:
             raise NotUnique(
                 f"no state assigns probability 1 to atom {logic.labels[e]!r}"
             )
-        hi = space.optimize(obj, face, maximize=True)
+        hi = face.solve(space.indicator(a), maximize=True)
         if lo.value != hi.value:
             raise NotUnique(
                 f"states concentrated on atom {logic.labels[e]!r} are not unique: "
-                f"value of {logic.labels[space.atoms[i]]!r} ranges over "
+                f"value of {logic.labels[a]!r} ranges over "
                 f"[{lo.value}, {hi.value}]"
             )
         p.append(lo.value)

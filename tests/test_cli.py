@@ -81,14 +81,25 @@ def test_input_error_is_exit_2(fixture_files, capsys, tmp_path):
     # state and morphism files whose top level is not an object
     array = tmp_path / "array.json"
     array.write_text("[]")
-    for argv in (["condprob", str(state), "--given", "x"],
-                 ["hilbert", "transition", "--e", str(matrix),
-                  "--f", str(matrix)],
-                 ["lemma1", str(morph)],
-                 ["condprob", str(array), "--given", "x"],
-                 ["lemma1", str(array)]):
+    # a state file without values and a morphism file without a map
+    no_values = tmp_path / "no_values.json"
+    no_values.write_text(json.dumps({"logic": fixture_files["boolean2"]}))
+    no_map = tmp_path / "no_map.json"
+    no_map.write_text(json.dumps({"source": fixture_files["boolean2"],
+                                  "target": fixture_files["boolean2"]}))
+    for argv, detail in ((["condprob", str(state), "--given", "x"], ""),
+                         (["hilbert", "transition", "--e", str(matrix),
+                           "--f", str(matrix)], ""),
+                         (["lemma1", str(morph)], ""),
+                         (["condprob", str(array), "--given", "x"], ""),
+                         (["lemma1", str(array)], ""),
+                         (["condprob", str(no_values), "--given", "x"],
+                          "missing 'values'"),
+                         (["lemma1", str(no_map)], "missing 'map'")):
         code, out = run(capsys, *argv, "--format", "json")
-        assert code == 2 and json.loads(out)["error"] == "input", argv
+        payload = json.loads(out)
+        assert code == 2 and payload["error"] == "input", argv
+        assert detail in payload["detail"], (argv, payload)
 
 
 def test_unknown_label_is_input_error(fixture_files, capsys):

@@ -2,10 +2,10 @@
 
 import pytest
 
+from oracles import definition_on_vertices
 from qlogic.builders import boolean_algebra, mo_logic
 from qlogic.cloning import (
     CloneProblem,
-    _definition_on_vertices,
     classical_cloner,
     clone_search,
     is_cloning_transformation,
@@ -74,7 +74,7 @@ def test_atomic_and_vertex_routes_agree_on_all_automorphisms(prod22):
     problem = CloneProblem(prod22, [x, y], x)
     for T in automorphisms(prod22.ambient):
         fast = is_cloning_transformation(problem, T)
-        slow = _definition_on_vertices(problem, T)
+        slow = definition_on_vertices(problem, T)
         assert fast == slow
 
 
@@ -120,7 +120,7 @@ def brute_force_cloners(problem):
     vertices, with no pre-filter."""
     found = []
     for T in automorphisms(problem.composite.ambient):
-        if _definition_on_vertices(problem, T):
+        if definition_on_vertices(problem, T):
             found.append(T.map)
     return found
 

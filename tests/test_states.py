@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import enumerate_vertices_dd
 from qlogic import rational_lp as rlp
-from qlogic.builders import boolean_algebra, nonfaithful_logic, stateless_logic
+from qlogic.builders import boolean_algebra, mo_logic, nonfaithful_logic, stateless_logic
 from qlogic.core import validate_logic
 from qlogic.errors import (
     EmptyStateSpace,
@@ -83,7 +84,7 @@ def test_vertex_methods_agree(booleans, mo_logics):
     for logic in (booleans[2], booleans[3], mo_logics[2], mo_logics[3]):
         space = reduced_space(logic)
         basis = state_polytope(logic).vertices
-        dd = rlp.enumerate_vertices_dd(*space.system())
+        dd = enumerate_vertices_dd(*space.system())
         assert [v.values for v in basis] == [space.state(p).values for p in dd]
 
 
@@ -268,7 +269,7 @@ def test_strong_state_space_via_direct_lp(mo2):
             if mo2.leq[f, e]:
                 continue
             neg = [-c for c in space.indicator(e)]
-            res = space.optimize(neg, space.face_rows(f), maximize=True)
+            res = space.polyhedron(space.face_rows(f)).solve(neg, maximize=True)
             assert res.optimal
             separation = 1 + res.value  # 1 - min v(e)
             assert separation > 0
@@ -288,6 +289,31 @@ def test_transition_reflexive(b3, mo2):
             except UndefinedTransition:
                 continue
             assert res.exists and res.value == 1
+
+
+def test_one_polyhedron_per_face(monkeypatch):
+    # phase 1 runs once per constraint system, however many objectives
+    # are asked of it
+    built, solved = [], []
+
+    class Counting(rlp.Polyhedron):
+        def __init__(self, A, b):
+            built.append(len(A))
+            super().__init__(A, b)
+
+        def solve(self, c, maximize=False):
+            solved.append(maximize)
+            return super().solve(c, maximize)
+
+    monkeypatch.setattr(rlp, "Polyhedron", Counting)
+    logic = validate_logic(mo_logic(2))
+    a, b = logic.index("a"), logic.index("b")
+    res = transition_probability(logic, b, a)
+    assert (res.low, res.high) == (0, 1)
+    assert (len(built), len(solved)) == (1, 2)
+    with pytest.raises(NotUnique):
+        atomic_state(logic, a)  # the value of b ranges over [0, 1]
+    assert (len(built), len(solved)) == (2, 8)
 
 
 def test_transition_examples_on_powerset(b3):
