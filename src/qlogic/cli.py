@@ -74,8 +74,20 @@ def _transition_or_none(logic, f, e):
 # ---------------------------------------------------------------------------
 
 def _read_json(path):
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:  # not UTF-8, not JSON, huge ints
+        raise LogicInputError(str(exc)) from exc
+
+
+def _write_json(path, data):
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(data, fh, indent=2)
+            fh.write("\n")
+    except OSError as exc:
+        raise LogicInputError(str(exc)) from exc
 
 
 def _read_object(path, what: str, keys) -> dict:
@@ -106,22 +118,34 @@ def _load_state(path: str):
     logic = _logic(data["logic"], Path(path).parent)
     try:
         values = [parse_rational(t) for t in data["values"]]
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
+    except (AttributeError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise LogicInputError(f"malformed state values: {exc}") from exc
-    return logic, State(logic, values)
+    try:
+        return logic, State(logic, values)
+    except ValueError as exc:  # a value too long to print in the message
+        raise LogicInputError(f"malformed state values: {exc}") from exc
 
 
 def _load_matrix(path: str) -> np.ndarray:
     rows = _read_json(path)
     try:
-        return np.array([[complex(re, im) for re, im in row] for row in rows])
+        matrix = np.array([[complex(re, im) for re, im in row] for row in rows])
     except (TypeError, ValueError) as exc:
         raise LogicInputError(f"malformed matrix: {exc}") from exc
+    if not np.isfinite(matrix).all():
+        raise LogicInputError("malformed matrix: non-finite entry")
+    return matrix
 
 
 def _parse_vector(text: str) -> np.ndarray:
     parts = [p.strip().replace("i", "j") for p in text.split(",")]
-    return np.array([complex(p) for p in parts])
+    try:
+        vector = np.array([complex(p) for p in parts])
+    except ValueError as exc:
+        raise LogicInputError(str(exc)) from exc
+    if not np.isfinite(vector).all():
+        raise LogicInputError(f"non-finite vector entry in {text!r}")
+    return vector
 
 
 def _labels(logic, indices):
@@ -292,9 +316,7 @@ def _cmd_product(args):
         **structural_verdicts(comp),
     }
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(comp.to_dict(), fh, indent=2)
-            fh.write("\n")
+        _write_json(args.out, comp.to_dict())
         payload["written"] = args.out
     else:
         payload["composite"] = comp.to_dict()
@@ -328,7 +350,7 @@ def _load_morphism(path: str):
     target = _logic(data["target"], base)
     try:
         mapping = [int(x) for x in data["map"]]
-    except (TypeError, ValueError) as exc:
+    except (OverflowError, TypeError, ValueError) as exc:
         raise LogicInputError(f"malformed morphism map: {exc}") from exc
     return validate_morphism(source, target, mapping)
 
@@ -482,6 +504,8 @@ def _cmd_certify(args):
 
 def _cmd_hilbert(args):
     tol = args.tolerance
+    if not tol > 0:  # a NaN or negative tolerance fails every check
+        raise LogicInputError(f"--tolerance must be positive, got {tol}")
     sub = args.hilbert_command
     if sub == "condprob":
         a = hb.DensityOperator(_load_matrix(args.density), tol)
@@ -504,6 +528,9 @@ def _cmd_hilbert(args):
         return 0, {"command": "hilbert atom",
                    "value": hb.atom_transition(xi, f)}
     if sub == "embed":
+        if args.other_dim < 1:
+            raise LogicInputError(
+                f"--other-dim must be positive, got {args.other_dim}")
         e = hb.ProjectionOperator(_load_matrix(args.e), tol)
         emb = hb.tensor_embed(e, args.side, args.other_dim)
         return 0, {"command": "hilbert embed",
@@ -511,6 +538,9 @@ def _cmd_hilbert(args):
                    "matrix": [[[float(x.real), float(x.imag)] for x in row]
                               for row in emb.matrix]}
     if sub == "lemma2":
+        if args.dim < 1 or args.trials < 1 or args.seed < 0:
+            raise LogicInputError("--dim and --trials must be positive "
+                                  "and --seed non-negative")
         rng = np.random.default_rng(args.seed)
         worst = 0.0
         for _ in range(args.trials):
@@ -545,9 +575,7 @@ def _cmd_fixture(args):
         return 0, {"command": "fixture info", "name": fx.name,
                    "kind": fx.kind, "annotations": fx.annotations}
     if args.fixture_command == "export":
-        with open(args.path, "w", encoding="utf-8") as fh:
-            json.dump(fx.data, fh, indent=2)
-            fh.write("\n")
+        _write_json(args.path, fx.data)
         return 0, {"command": "fixture export", "name": fx.name,
                    "written": args.path}
     raise LogicInputError(f"unknown fixture subcommand {args.fixture_command!r}")
@@ -728,9 +756,6 @@ def main(argv=None) -> int:
     except QLogicError as exc:
         code, payload = exc.exit_code, {"command": args.command,
                                         "error": exc.kind, "detail": str(exc)}
-    except (OSError, ValueError, KeyError) as exc:
-        code, payload = 2, {"command": args.command, "error": "input",
-                            "detail": str(exc)}
     if args.format == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:

@@ -279,6 +279,6 @@ def composite_from_dict(data: dict, load_logic_fn) -> CompositeLogic:
         ambient = load_logic_fn(data["ambient"])
         map1 = [int(x) for x in data["pi1"]]
         map2 = [int(x) for x in data["pi2"]]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise LogicInputError(f"malformed composite description: {exc}") from exc
     return make_composite(factor, ambient, map1, map2)

@@ -118,7 +118,7 @@ class LogicDescription:
                 zero_index=int(data["zero"]),
                 one_index=int(data["one"]),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, OverflowError, TypeError, ValueError) as exc:
             raise LogicInputError(f"malformed logic description: {exc}") from exc
 
     @classmethod

@@ -5,8 +5,14 @@ polyhedra in standard form {x >= 0, A x = b}.  ``Polyhedron`` runs phase
 1 once per constraint system and answers any number of objectives from
 the feasible basis it finds; ``enumerate_vertices_basis`` lists the
 vertices by exhaustive basis enumeration over the same phase-1 rows.
-Everything runs on ``fractions.Fraction``; there is no floating point in
-this module.
+
+The tableau is fraction-free (Bareiss 1968): each row is a primitive
+integer vector (divided by the gcd of its entries after every pivot)
+that equals the rational tableau row up to a positive scale, so a basic
+value is ``row[-1] / row[basis[i]]``.  Signs and ratio comparisons, and
+with them every pivot choice, are those of the rational tableau.
+``fractions.Fraction`` appears only at the boundary: converting the
+input and building results.  There is no floating point in this module.
 """
 
 from __future__ import annotations
@@ -14,28 +20,40 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, gcd, lcm
 
 from .errors import VertexBudgetExceeded
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
-def _frac_rows(rows):
-    return [[Fraction(x) for x in row] for row in rows]
+def _integer_row(values):
+    """Rationals scaled by the lcm d of their denominators: (ints, d)."""
+    values = [Fraction(v) for v in values]
+    d = lcm(*(v.denominator for v in values))
+    return [v.numerator * (d // v.denominator) for v in values], d
 
 
-def _eliminate(mat, r, col):
-    """One Gauss-Jordan step: scale row r to a unit pivot in column col,
-    then clear col from every other row.  Rows are replaced, never edited
-    in place, so row lists may be shared between tableaux."""
-    inv = ONE / mat[r][col]
-    mat[r] = [v * inv for v in mat[r]]
-    for i in range(len(mat)):
-        if i != r and mat[i][col] != 0:
-            factor = mat[i][col]
-            mat[i] = [a - factor * b for a, b in zip(mat[i], mat[r])]
+def _primitive(row):
+    g = gcd(*row)
+    return [v // g for v in row] if g > 1 else row
+
+
+def _clear_column(rows, r, col):
+    """Clear column col from every row but r, fraction-free:
+    row_i <- p row_i - row_i[col] row_r with p = row_r[col] > 0 (row r
+    is negated first if needed).  Rows are replaced, never edited in
+    place, so row lists may be shared between tableaux."""
+    pivot_row = rows[r]
+    p = pivot_row[col]
+    if p < 0:
+        pivot_row = rows[r] = [-v for v in pivot_row]
+        p = -p
+    for i, row in enumerate(rows):
+        f = row[col]
+        if f and i != r:
+            rows[i] = _primitive([p * a - f * v
+                                  for a, v in zip(row, pivot_row)])
 
 
 @dataclass(frozen=True)
@@ -50,15 +68,16 @@ class LPResult:
 
 
 def _pivot(T, basis, row, col):
-    _eliminate(T, row, col)
+    _clear_column(T, row, col)
     basis[row] = col
 
 
 def _simplex(T, basis, ncols):
     """Minimize with Bland's rule. T = m constraint rows + objective row.
 
-    The objective row holds reduced costs; T[-1][-1] is minus the current
-    objective value.  Returns "optimal" or "unbounded".
+    The objective row holds the reduced costs up to a positive scale;
+    T[-1][-1] is zero exactly when the current objective value is.
+    Returns "optimal" or "unbounded".
     """
     m = len(T) - 1
     while True:
@@ -66,50 +85,56 @@ def _simplex(T, basis, ncols):
         col = next((j for j in range(ncols) if obj[j] < 0), None)
         if col is None:
             return "optimal"
-        best_row, best_ratio = None, None
+        best = None
         for i in range(m):
             a = T[i][col]
             if a > 0:
-                ratio = T[i][-1] / a
-                if (best_ratio is None or ratio < best_ratio
-                        or (ratio == best_ratio and basis[i] < basis[best_row])):
-                    best_row, best_ratio = i, ratio
-        if best_row is None:
+                if best is None:
+                    best, best_a = i, a
+                    continue
+                # ratio T[i][-1] / a against the best, cross-multiplied
+                lhs, rhs = T[i][-1] * best_a, T[best][-1] * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[best]):
+                    best, best_a = i, a
+        if best is None:
             return "unbounded"
-        _pivot(T, basis, best_row, col)
+        _pivot(T, basis, best, col)
 
 
 class Polyhedron:
     """{x >= 0, A x = b} with phase 1 of the simplex run once.
 
-    If ``feasible``, ``rows`` (coefficients, then right-hand side) and
-    ``basis`` are a feasible canonical form without redundant rows, and
-    each ``solve`` runs phase 2 from a copy of them.  Phase 1 reads no
-    objective, so ``solve`` equals a fresh two-phase solve.
+    If ``feasible``, ``rows`` (integer coefficients, then right-hand
+    side, each row a primitive vector equal to the rational canonical
+    row up to a positive scale) and ``basis`` are a feasible canonical
+    form without redundant rows, and each ``solve`` runs phase 2 from a
+    copy of them.  Phase 1 reads no objective, so ``solve`` equals a
+    fresh two-phase solve.
     """
 
     def __init__(self, A, b):
-        A = _frac_rows(A)
-        b = [Fraction(v) for v in b]
         m, n = len(A), len(A[0]) if A else 0
 
-        # phase 1 with artificial variables
-        T = []
+        # phase 1: row i is the input row times the lcm d_i of its
+        # denominators, sign-normalised, with d_i in its artificial column
+        T, scales = [], []
         for i in range(m):
-            row = list(A[i])
-            rhs = b[i]
-            if rhs < 0:
+            row, d = _integer_row(list(A[i]) + [b[i]])
+            if row[-1] < 0:
                 row = [-v for v in row]
-                rhs = -rhs
-            art = [ZERO] * m
-            art[i] = ONE
-            T.append(row + art + [rhs])
-        obj = [ZERO] * (n + m) + [ZERO]
+            art = [0] * m
+            art[i] = d
+            T.append(row[:n] + art + row[n:])
+            scales.append(d)
+        # lcm(d) * (-(sum of the rational rows) + artificials)
+        L = lcm(*scales)
+        obj = [0] * (n + m + 1)
+        for row, d in zip(T, scales):
+            w = L // d
+            obj = [o - w * v for o, v in zip(obj, row)]
         for i in range(m):
-            for j in range(n + m + 1):
-                obj[j] -= T[i][j]
-            obj[n + i] += ONE
-        T.append(obj)
+            obj[n + i] += L
+        T.append(_primitive(obj))
         basis = [n + i for i in range(m)]
         status = _simplex(T, basis, n + m)
         self.feasible = status == "optimal" and T[-1][-1] == 0
@@ -129,7 +154,7 @@ class Polyhedron:
         for i in sorted(drop, reverse=True):
             del T[i]
             del basis[i]
-        self.rows = [row[:n] + [row[-1]] for row in T[:-1]]
+        self.rows = [_primitive(row[:n] + [row[-1]]) for row in T[:-1]]
         self.basis = basis
 
     def solve(self, c, maximize=False) -> LPResult:
@@ -141,18 +166,19 @@ class Polyhedron:
             c = [-v for v in c]
         n = len(c)
         basis = list(self.basis)
-        obj = list(c) + [ZERO]
-        for i, bv in enumerate(basis):
-            if obj[bv] != 0:
-                factor = obj[bv]
-                obj = [a - factor * v for a, v in zip(obj, self.rows[i])]
-        rows = self.rows + [obj]
+        obj, _ = _integer_row(c + [ZERO])
+        for row, bv in zip(self.rows, basis):
+            f = obj[bv]
+            if f:
+                p = row[bv]
+                obj = [p * a - f * v for a, v in zip(obj, row)]
+        rows = self.rows + [_primitive(obj)]
         status = _simplex(rows, basis, n)
         if status == "unbounded":
             return LPResult("unbounded")
         x = [ZERO] * n
-        for i, bv in enumerate(basis):
-            x[bv] = rows[i][-1]
+        for row, bv in zip(rows, basis):
+            x[bv] = Fraction(row[-1], row[bv])
         value = sum(ci * xi for ci, xi in zip(c, x))
         if maximize:
             value = -value
@@ -165,7 +191,8 @@ def solve_lp(A, b, c, maximize=False):
 
 
 def _solve_square(cols_matrix, rhs):
-    """Solve M x = rhs for square M given as list of rows; None if singular."""
+    """Solve M x = rhs for an integer square M given as a list of rows,
+    by fraction-free Gauss-Jordan elimination; None if M is singular."""
     n = len(rhs)
     mat = [list(row) + [val] for row, val in zip(cols_matrix, rhs)]
     for col in range(n):
@@ -173,8 +200,8 @@ def _solve_square(cols_matrix, rhs):
         if pivot is None:
             return None
         mat[col], mat[pivot] = mat[pivot], mat[col]
-        _eliminate(mat, col, col)
-    return [mat[i][n] for i in range(n)]
+        _clear_column(mat, col, col)
+    return [Fraction(mat[i][n], mat[i][i]) for i in range(n)]
 
 
 def enumerate_vertices_basis(A, b, budget=100_000):

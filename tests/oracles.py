@@ -5,10 +5,112 @@ from fractions import Fraction
 
 from qlogic.errors import VertexBudgetExceeded
 from qlogic.morphisms import dual_state
+from qlogic.rational_lp import LPResult
 from qlogic.states import state_polytope
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+
+def _pivot(T, basis, row, col):
+    """One Gauss-Jordan step on a ``Fraction`` tableau: scale row to a
+    unit pivot in col, then clear col from every other row."""
+    inv = ONE / T[row][col]
+    T[row] = [v * inv for v in T[row]]
+    for i in range(len(T)):
+        if i != row and T[i][col] != 0:
+            factor = T[i][col]
+            T[i] = [a - factor * b for a, b in zip(T[i], T[row])]
+    basis[row] = col
+
+
+def _simplex(T, basis, ncols):
+    """Minimize with Bland's rule; T[-1] holds the reduced costs."""
+    m = len(T) - 1
+    while True:
+        obj = T[-1]
+        col = next((j for j in range(ncols) if obj[j] < 0), None)
+        if col is None:
+            return "optimal"
+        best_row, best_ratio = None, None
+        for i in range(m):
+            a = T[i][col]
+            if a > 0:
+                ratio = T[i][-1] / a
+                if (best_ratio is None or ratio < best_ratio
+                        or (ratio == best_ratio and basis[i] < basis[best_row])):
+                    best_row, best_ratio = i, ratio
+        if best_row is None:
+            return "unbounded"
+        _pivot(T, basis, best_row, col)
+
+
+class FractionPolyhedron:
+    """The two-phase simplex of ``rational_lp.Polyhedron`` on a
+    ``Fraction`` tableau with unit artificial columns: the reference the
+    fraction-free tableau must match pivot for pivot."""
+
+    def __init__(self, A, b):
+        A = [[Fraction(x) for x in row] for row in A]
+        b = [Fraction(v) for v in b]
+        m, n = len(A), len(A[0]) if A else 0
+        T = []
+        for i in range(m):
+            row, rhs = list(A[i]), b[i]
+            if rhs < 0:
+                row, rhs = [-v for v in row], -rhs
+            art = [ZERO] * m
+            art[i] = ONE
+            T.append(row + art + [rhs])
+        obj = [ZERO] * (n + m + 1)
+        for i in range(m):
+            for j in range(n + m + 1):
+                obj[j] -= T[i][j]
+            obj[n + i] += ONE
+        T.append(obj)
+        basis = [n + i for i in range(m)]
+        status = _simplex(T, basis, n + m)
+        self.feasible = status == "optimal" and T[-1][-1] == 0
+        self.rows, self.basis = [], []
+        if not self.feasible:
+            return
+        drop = []
+        for i in range(m):
+            if basis[i] >= n:
+                col = next((j for j in range(n) if T[i][j] != 0), None)
+                if col is None:
+                    drop.append(i)
+                else:
+                    _pivot(T, basis, i, col)
+        for i in sorted(drop, reverse=True):
+            del T[i]
+            del basis[i]
+        self.rows = [row[:n] + [row[-1]] for row in T[:-1]]
+        self.basis = basis
+
+    def solve(self, c, maximize=False) -> LPResult:
+        if not self.feasible:
+            return LPResult("infeasible")
+        c = [Fraction(v) for v in c]
+        if maximize:
+            c = [-v for v in c]
+        n = len(c)
+        basis = list(self.basis)
+        obj = list(c) + [ZERO]
+        for i, bv in enumerate(basis):
+            if obj[bv] != 0:
+                factor = obj[bv]
+                obj = [a - factor * v for a, v in zip(obj, self.rows[i])]
+        rows = [list(r) for r in self.rows] + [obj]
+        if _simplex(rows, basis, n) == "unbounded":
+            return LPResult("unbounded")
+        x = [ZERO] * n
+        for i, bv in enumerate(basis):
+            x[bv] = rows[i][-1]
+        value = sum(ci * xi for ci, xi in zip(c, x))
+        if maximize:
+            value = -value
+        return LPResult("optimal", value, tuple(x))
 
 
 def enumerate_vertices_dd(A, b, budget=100_000):

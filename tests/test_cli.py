@@ -127,18 +127,48 @@ def _raise(exc):
      ("theorem1_certificate", CertificateFailed("mismatch")),
      1, "error", "refuted"),
     (["atoms", "{tmp}/missing.json"], None, 2, "error", "input"),
+    # main catches only QLogicError, so malformed outside input must
+    # become an input error where it is read
+    (["atoms", "{tmp}/not_json.json"], None, 2, "error", "input"),
+    (["hilbert", "no-cloning", "--xi1", "1,abc", "--xi2", "1,0"], None,
+     2, "error", "input"),
+    (["transprob", "{MO2}", "nope", "a"], None, 2, "error", "input"),
+    (["product", "{boolean2}", "--out", "{tmp}/missing/composite.json"],
+     None, 2, "error", "input"),
+    (["hilbert", "atom", "--xi", "1,0", "--f", "{tmp}/nan_matrix.json"],
+     None, 2, "error", "input"),
+    (["hilbert", "embed", "--e", "{tmp}/nan_matrix.json", "--side", "first",
+      "--other-dim", "0"], None, 2, "error", "input"),
+    (["hilbert", "lemma2", "--dim", "-1"], None, 2, "error", "input"),
+    (["hilbert", "lemma2", "--tolerance", "nan"], None, 2, "error", "input"),
+    (["hilbert", "lemma2", "--trials", "0"], None, 2, "error", "input"),
+    (["atoms", "{tmp}/infinite_index.json"], None, 2, "error", "input"),
+    (["condprob", "{tmp}/int_values.json", "--given", "x"], None,
+     2, "error", "input"),
     (["compat", "{MO2}", "--members", "a,b", "--budget", "0"], None,
      3, "error", "budget_exceeded"),
     (["transprob", "{MO2}", "b", "a"],
      ("transition_probability", InternalInvariantError("broken")),
      4, "error", "internal"),
 ], ids=["states-stateless", "check-F-stateless", "refuted", "missing-file",
-        "budget", "internal"])
+        "not-json", "bad-vector", "unknown-label", "unwritable-output",
+        "nan-matrix", "bad-dimension", "bad-hilbert-dim", "nan-tolerance",
+        "no-trials", "infinite-index", "non-string-value", "budget",
+        "internal"])
 def test_error_exit_codes(fixture_files, capsys, monkeypatch, tmp_path,
                           argv, patch, code, field, kind):
     if patch is not None:
         name, exc = patch
         monkeypatch.setattr(f"qlogic.cli.{name}", _raise(exc))
+    (tmp_path / "not_json.json").write_text("{not json")
+    (tmp_path / "nan_matrix.json").write_text(
+        "[[[NaN, 0], [0, 0]], [[0, 0], [1, 0]]]")
+    with open(fixture_files["boolean2"], encoding="utf-8") as fh:
+        logic = json.load(fh)
+    (tmp_path / "infinite_index.json").write_text(
+        json.dumps(dict(logic, one=float("inf"))))
+    (tmp_path / "int_values.json").write_text(json.dumps(
+        {"logic": fixture_files["boolean2"], "values": [0, 1, 0, 1]}))
     argv = [a.format(tmp=tmp_path, **fixture_files) for a in argv]
     got, out = run(capsys, *argv, "--format", "json")
     assert got == code

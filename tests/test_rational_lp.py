@@ -1,14 +1,26 @@
 """Exact simplex and vertex enumeration."""
 
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import enumerate_vertices_dd
+import oracles
+from oracles import FractionPolyhedron, enumerate_vertices_dd
+from qlogic import rational_lp as rlp
+from qlogic.builders import mo_logic
+from qlogic.core import validate_logic
 from qlogic.errors import VertexBudgetExceeded
 from qlogic.rational_lp import Polyhedron, enumerate_vertices_basis, solve_lp
+from qlogic.states import (
+    _uniqueness_gap,
+    check_condition_F,
+    conditional_probability,
+    reduced_space,
+    transition_probability,
+)
 
 
 def test_simplex_max_on_probability_simplex():
@@ -86,16 +98,20 @@ def test_polyhedron_answers_objectives_in_sequence():
     assert poly.rows == rows and poly.basis == basis
 
 
+def _with_redundant_rows(A, b, scale, pick):
+    """A scaled copy of one row and the sum of two rows appended."""
+    i, j = pick[0] % len(A), pick[1] % len(A)
+    A = A + [[scale * v for v in A[i]], [u + v for u, v in zip(A[i], A[j])]]
+    return A, b + [scale * b[i], b[i] + b[j]]
+
+
 def _bounded_systems():
-    """Small systems inside the simplex sum(x) = 1, with a scaled copy of
-    one row and the sum of two rows appended, and an objective."""
+    """Small systems inside the simplex sum(x) = 1, with redundant rows
+    appended, and an objective."""
     def build(n, base, scale, pick, obj):
         A = [row for row, _ in base] + [[1] * n]
         b = [rhs for _, rhs in base] + [1]
-        i, j = pick[0] % len(A), pick[1] % len(A)
-        A += [[scale * v for v in A[i]], [u + v for u, v in zip(A[i], A[j])]]
-        b += [scale * b[i], b[i] + b[j]]
-        return A, b, obj
+        return (*_with_redundant_rows(A, b, scale, pick), obj)
 
     coef = st.integers(-2, 2)
     return st.integers(2, 5).flatmap(lambda n: st.builds(
@@ -128,6 +144,137 @@ def test_polyhedron_matches_vertex_enumeration(system):
         assert all(xi >= 0 for xi in res.x)
         assert all(sum(a * x for a, x in zip(row, res.x)) == rhs
                    for row, rhs in zip(A, b))
+
+
+_rational = st.sampled_from(sorted({F(p, q) for p in range(-3, 4)
+                                   for q in range(1, 5)}))
+
+
+def _rational_systems():
+    """Rational systems with redundant rows appended, plus objectives.
+    Half of them are consistent by construction (b = A x0 for some
+    x0 >= 0); their right-hand sides may still be negative."""
+    def build(n, base, x0, consistent, scale, pick, objectives):
+        A = [row for row, _ in base]
+        b = [sum((a * x for a, x in zip(row, x0)), F(0)) if consistent else rhs
+             for row, rhs in base]
+        return (*_with_redundant_rows(A, b, scale, pick), objectives)
+
+    def for_width(n):
+        vector = st.lists(_rational, min_size=n, max_size=n)
+        return st.builds(
+            build, st.just(n),
+            st.lists(st.tuples(vector, _rational), min_size=1, max_size=4),
+            st.lists(_rational.map(abs), min_size=n, max_size=n),
+            st.booleans(),
+            _rational.filter(bool),
+            st.tuples(st.integers(0, 5), st.integers(0, 5)),
+            st.lists(vector, min_size=1, max_size=3),
+        )
+    return st.integers(2, 5).flatmap(for_width)
+
+
+def _replay(module, cls, calls):
+    """The (row, col) arguments of every ``_pivot``, with each phase-1
+    basis, and the results when cls answers the recorded calls."""
+    pivots, results = [], []
+    pivot = module._pivot
+
+    def recording(T, basis, row, col):
+        pivots.append((row, col))
+        pivot(T, basis, row, col)
+
+    with mock.patch.object(module, "_pivot", recording):
+        for A, b, objectives in calls:
+            poly = cls(A, b)
+            pivots.append(("phase 2 from", poly.feasible, tuple(poly.basis)))
+            results += [poly.solve(c, maximize) for c, maximize in objectives]
+    return pivots, results
+
+
+def _assert_same_path(calls):
+    assert _replay(rlp, Polyhedron, calls) == _replay(
+        oracles, FractionPolyhedron, calls)
+
+
+@given(_rational_systems())
+@example(([[1, 2, F(-1, 3)], [F(1, 3), F(-1, 3), F(-1, 3)], [F(3, 4), 0, -3],
+           [F(2, 3), 2, -1], [F(1, 6), F(1, 2), F(-1, 4)],
+           [1, F(5, 3), F(-4, 3)]],
+          [F(23, 12), F(-5, 12), F(-3, 4), F(7, 4), F(7, 16), F(4, 3)],
+          [[1, 0, 0]]))
+@settings(max_examples=200, deadline=None)
+def test_polyhedron_matches_fraction_tableau(system):
+    # differential oracle: the fraction-free tableau takes the pivots of
+    # the Fraction tableau, so its rows are the same up to scale (the
+    # explicit example re-enters an artificial column whose scale d_i is 3)
+    A, b, objectives = system
+    _assert_same_path([(A, b, [(c, maximize) for c in objectives
+                               for maximize in (False, True)])])
+    poly, ref = Polyhedron(A, b), FractionPolyhedron(A, b)
+    assert all(isinstance(v, int) for row in poly.rows for v in row)
+    assert [[F(v, row[bv]) for v in row]
+            for row, bv in zip(poly.rows, poly.basis)] == ref.rows
+
+
+def _lp_calls(monkeypatch, run):
+    """(A, b, objectives) of every polyhedron that run() builds."""
+    calls = []
+
+    class Recording(rlp.Polyhedron):
+        def __init__(self, A, b):
+            self.objectives = []
+            calls.append((A, b, self.objectives))
+            super().__init__(A, b)
+
+        def solve(self, c, maximize=False):
+            self.objectives.append((c, maximize))
+            return super().solve(c, maximize)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(rlp, "Polyhedron", Recording)
+        run()
+    return calls
+
+
+def _mo3_base():
+    check_condition_F(validate_logic(mo_logic(3)))
+
+
+def _mo3_face():
+    mo3 = validate_logic(mo_logic(3))
+    transition_probability(mo3, mo3.index("b"), mo3.index("a"))
+
+
+def _mo3_conditional():
+    # conditioning on the top pins every atom to its rational base value
+    mo3 = validate_logic(mo_logic(3))
+    space = reduced_space(mo3)
+    base = space.state([F(1, 3), F(2, 3), F(1, 5), F(4, 5), F(2, 7), F(5, 7)])
+    conditional_probability(mo3, base, mo3.one)
+
+
+def _mo3_uniqueness_gap():
+    mo3 = validate_logic(mo_logic(3))
+    _uniqueness_gap(reduced_space(mo3), mo3.index("a"))
+
+
+@pytest.mark.parametrize("run", [_mo3_base, _mo3_face, _mo3_conditional,
+                                 _mo3_uniqueness_gap])
+def test_pivot_sequence_matches_fraction_tableau(monkeypatch, run):
+    calls = _lp_calls(monkeypatch, run)
+    _assert_same_path(calls)
+    assert sum(len(objectives) for _, _, objectives in calls) >= 2
+
+
+def test_pivot_sequence_systems_cover_scales_and_doubling(monkeypatch):
+    # the conditional system has rational right-hand sides (artificial
+    # columns scaled by d_i > 1) and the gap system doubles the columns
+    conditional = _lp_calls(monkeypatch, _mo3_conditional)
+    assert any(F(v).denominator > 1 for _, b, _ in conditional for v in b)
+    k = reduced_space(validate_logic(mo_logic(3))).k
+    gap = _lp_calls(monkeypatch, _mo3_uniqueness_gap)
+    assert any(len(A[0]) == 2 * k and objectives for A, _, objectives in gap)
 
 
 def test_vertices_of_probability_simplex():
