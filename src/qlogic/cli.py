@@ -42,6 +42,7 @@ from .errors import (
 )
 from .fixtures import fixture_names, load_fixture
 from .morphisms import (
+    DEFAULT_SEARCH_BUDGET,
     automorphisms,
     check_lemma1a,
     check_lemma1b,
@@ -100,6 +101,15 @@ def _read_object(path, what: str, keys) -> dict:
     return data
 
 
+def _list_of(value, kind, what: str) -> list:
+    """A JSON list of ``kind`` items; a string is not read as its
+    characters."""
+    if not (isinstance(value, list) and all(type(x) is kind for x in value)):
+        raise LogicInputError(
+            f"malformed {what}: not a list of {kind.__name__}")
+    return value
+
+
 def _logic(ref, base: Path | None = None):
     """Validate a logic given as a file path (relative to ``base``, the
     directory of the referencing file) or as an inline dict."""
@@ -117,8 +127,9 @@ def _load_state(path: str):
     data = _read_object(path, "state", ("logic", "values"))
     logic = _logic(data["logic"], Path(path).parent)
     try:
-        values = [parse_rational(t) for t in data["values"]]
-    except (AttributeError, TypeError, ValueError, ZeroDivisionError) as exc:
+        values = [parse_rational(t)
+                  for t in _list_of(data["values"], str, "state values")]
+    except (ValueError, ZeroDivisionError) as exc:
         raise LogicInputError(f"malformed state values: {exc}") from exc
     try:
         return logic, State(logic, values)
@@ -267,12 +278,6 @@ def _cmd_condprob(args):
         payload["state"] = _state_payload(res.state)
     elif res.kind == "non_unique":
         payload["witnesses"] = [_state_payload(w) for w in res.witnesses]
-    if res.discrepancies:
-        payload["formulation_discrepancies"] = [
-            {"event": logic.labels[f], "classical": format_rational(expect),
-             "range": [format_rational(lo), format_rational(hi)]}
-            for f, expect, lo, hi in res.discrepancies
-        ]
     return (0 if res.kind == "unique" else 1), payload
 
 
@@ -348,10 +353,7 @@ def _load_morphism(path: str):
     base = Path(path).parent
     source = _logic(data["source"], base)
     target = _logic(data["target"], base)
-    try:
-        mapping = [int(x) for x in data["map"]]
-    except (OverflowError, TypeError, ValueError) as exc:
-        raise LogicInputError(f"malformed morphism map: {exc}") from exc
+    mapping = _list_of(data["map"], int, "morphism map")
     return validate_morphism(source, target, mapping)
 
 
@@ -585,6 +587,14 @@ def _cmd_fixture(args):
 # parser and entry point
 # ---------------------------------------------------------------------------
 
+def non_negative_int(text: str) -> int:
+    """The type of every ``--budget``: 0 is legal and exhausts at once."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qlogic",
@@ -600,6 +610,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(handler=handler)
         return p
 
+    def add_budget(p, default):
+        p.add_argument("--budget", type=non_negative_int, default=default)
+
     p = add("validate", _cmd_validate, help="check the axioms of a logic file")
     p.add_argument("logic")
 
@@ -610,16 +623,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("logic")
     p.add_argument("--members", required=True,
                    help="comma-separated element labels")
-    p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
+    add_budget(p, DEFAULT_NODE_BUDGET)
 
     p = add("states", _cmd_states, help="enumerate the state polytope")
     p.add_argument("logic")
-    p.add_argument("--budget", type=int, default=DEFAULT_VERTEX_BUDGET)
+    add_budget(p, DEFAULT_VERTEX_BUDGET)
 
     p = add("check", _cmd_check, help="check a state-space condition")
     p.add_argument("condition", choices=("F", "G", "H"))
     p.add_argument("logic")
-    p.add_argument("--budget", type=int, default=DEFAULT_VERTEX_BUDGET)
+    add_budget(p, DEFAULT_VERTEX_BUDGET)
 
     p = add("condprob", _cmd_condprob,
             help="condition the state in a state file on an event")
@@ -634,7 +647,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("autos", _cmd_autos, help="enumerate the automorphism group")
     p.add_argument("logic")
-    p.add_argument("--budget", type=int, default=2_000_000)
+    add_budget(p, DEFAULT_SEARCH_BUDGET)
 
     p = add("product", _cmd_product,
             help="product of a Boolean logic with itself")
@@ -644,7 +657,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("check-I", _cmd_check_I,
             help="mutual compatibility of the embedded copies")
     p.add_argument("composite")
-    p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
+    add_budget(p, DEFAULT_NODE_BUDGET)
 
     p = add("check-J", _cmd_check_J,
             help="embedded atom meets must be atoms")
@@ -666,21 +679,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("composite")
     p.add_argument("--atoms", nargs=2, metavar=("E", "F"))
     p.add_argument("--state", help="state file; default: sweep all vertices")
-    p.add_argument("--budget", type=int, default=DEFAULT_VERTEX_BUDGET)
+    add_budget(p, DEFAULT_VERTEX_BUDGET)
 
     p = add("clone-search", _cmd_clone_search,
             help="search all ambient automorphisms for a cloner")
     p.add_argument("--composite", required=True)
     p.add_argument("--C", required=True, help="comma-separated factor atoms")
     p.add_argument("--f", required=True, help="blank factor atom")
-    p.add_argument("--budget", type=int, default=2_000_000)
+    add_budget(p, DEFAULT_SEARCH_BUDGET)
 
     p = add("certify-theorem1", _cmd_certify,
             help="replay the no-cloning forcing argument numerically")
     p.add_argument("--composite", required=True)
     p.add_argument("--C", required=True)
     p.add_argument("--f", required=True)
-    p.add_argument("--budget", type=int, default=2_000_000)
+    add_budget(p, DEFAULT_SEARCH_BUDGET)
 
     common = argparse.ArgumentParser(add_help=False, parents=[fmt])
     common.add_argument("--tolerance", type=float, default=hb.DEFAULT_TOL)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .core import FiniteLogic, derived
-from .errors import InternalInvariantError, SearchBudgetExceeded
+from .errors import SearchBudgetExceeded
 
 DEFAULT_NODE_BUDGET = 1_000_000
 
@@ -128,17 +128,6 @@ def _compatibility_search(logic: FiniteLogic, members: frozenset,
                 seen.add(child)
                 stack.append((child, x + 1))
     return CompatibilityVerdict(False, None)
-
-
-def boolean_meet(logic: FiniteLogic, subalgebra, e: int, f: int) -> int:
-    """Greatest lower bound of e and f inside a Boolean subalgebra."""
-    lower = [z for z in subalgebra if logic.leq[z, e] and logic.leq[z, f]]
-    for z in lower:
-        if all(logic.leq[w, z] for w in lower):
-            return z
-    raise InternalInvariantError(
-        "witness subalgebra is not a lattice; compatibility search is broken"
-    )
 
 
 def _compatible_subsets(logic: FiniteLogic, members, budget):

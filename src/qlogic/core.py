@@ -264,25 +264,21 @@ class FiniteLogic:
         return tuple(masks)
 
     @cached_property
-    def order_is_mask_inclusion(self) -> bool:
-        """True iff e <= f coincides with atom-mask inclusion (atomistic order)."""
-        masks = self.atom_masks
-        if len(set(masks)) != self.n:
-            return False
-        arr = np.array(masks, dtype=np.int64)
-        incl = (arr[:, None] & arr[None, :]) == arr[:, None]
-        return bool(np.array_equal(incl, self.leq))
-
-    @cached_property
     def is_powerset(self) -> bool:
-        """True iff the logic is exactly the powerset of its atoms."""
+        """True iff the logic is exactly the powerset of its atoms.
+
+        Validation asks this before it checks axioms C-E, so the order is
+        compared with mask inclusion here rather than assumed to be it.
+        """
         k = len(self.atoms)
         if k > 62 or self.n != (1 << k):
             return False
-        if not self.order_is_mask_inclusion:
-            return False
         masks = self.atom_masks
         if set(masks) != set(range(1 << k)):
+            return False
+        arr = np.array(masks, dtype=np.int64)
+        incl = (arr[:, None] & arr[None, :]) == arr[:, None]
+        if not np.array_equal(incl, self.leq):
             return False
         full = (1 << k) - 1
         comp_ok = all(masks[self.ortho[e]] == (full ^ masks[e])

@@ -1,12 +1,11 @@
 """Structure-preserving maps, dual state maps, and automorphism search.
 
 A morphism preserves order, orthocomplement and the unit; its dual pulls
-states on the target back to states on the source.  Automorphisms of an
-atomistic logic are determined by where they send the atoms, so the
-search backtracks over atom images (pruned by the orthogonality pattern)
-and extends each complete atom bijection through the atom masks; logics
-whose order is not atom-mask inclusion fall back to element-level
-backtracking.
+states on the target back to states on the source.  Every validated
+logic is atomistic, so an automorphism is determined by where it sends
+the atoms: the search backtracks over atom images (pruned by the
+orthogonality pattern) and extends each complete atom bijection through
+the atom masks.
 """
 
 from __future__ import annotations
@@ -128,16 +127,23 @@ def dual_state(T: Morphism, rho: State) -> State:
 # ---------------------------------------------------------------------------
 
 class _AtomExtender:
-    """Extends atom-position permutations to full element maps via masks."""
+    """Extends atom-position permutations to full element maps via masks.
+
+    In a validated logic each element is the orthogonal join of the atoms
+    below it (peel atoms off with axiom E, join them with axiom C), so
+    elements have distinct atom masks and the order is mask inclusion.
+    Masks are ``np.int64`` below 63 atoms and Python ints, which have no
+    word limit, from 63 atoms on.
+    """
 
     def __init__(self, logic: FiniteLogic):
         self.logic = logic
-        atoms = logic.atoms
-        self.k = len(atoms)
-        masks = np.array(logic.atom_masks, dtype=np.int64)
+        self.k = len(logic.atoms)
+        self.dtype = np.int64 if self.k < 63 else object
+        masks = np.array(logic.atom_masks, dtype=self.dtype)
         self.bits = np.array(
             [[(m >> i) & 1 for i in range(self.k)] for m in logic.atom_masks],
-            dtype=np.int64,
+            dtype=self.dtype,
         )
         self.sort_order = np.argsort(masks)
         self.sorted_masks = masks[self.sort_order]
@@ -147,7 +153,7 @@ class _AtomExtender:
     def extend(self, sigma) -> Automorphism | None:
         """sigma[i] = new position of atom i; None if no automorphism."""
         logic = self.logic
-        weights = np.int64(1) << np.array(sigma, dtype=np.int64)
+        weights = 1 << np.array(sigma, dtype=self.dtype)
         new_masks = self.bits @ weights
         idx = np.searchsorted(self.sorted_masks, new_masks)
         if not self.trivial:
@@ -219,66 +225,13 @@ def _iter_atom_perms(logic: FiniteLogic, budget):
     yield from backtrack(0)
 
 
-def _iter_automorphisms_generic(logic: FiniteLogic, budget):
-    """Element-level backtracking for logics without atomistic order."""
-    n = logic.n
-    leq, ortho = logic.leq, logic.ortho
-    mapping = [-1] * n
-    used = [False] * n
-    nodes = 0
-
-    def consistent(e, img):
-        if (e == logic.zero) != (img == logic.zero):
-            return False
-        if (e == logic.one) != (img == logic.one):
-            return False
-        partner = mapping[ortho[e]]
-        if partner != -1 and partner != ortho[img]:
-            return False
-        for d in range(n):
-            if mapping[d] == -1:
-                continue
-            if leq[d, e] != leq[mapping[d], img]:
-                return False
-            if leq[e, d] != leq[img, mapping[d]]:
-                return False
-        return True
-
-    def backtrack(e):
-        nonlocal nodes
-        if e == n:
-            inverse = [0] * n
-            for x, img in enumerate(mapping):
-                inverse[img] = x
-            yield Automorphism(logic, logic, tuple(mapping), tuple(inverse))
-            return
-        for img in range(n):
-            if used[img] or not consistent(e, img):
-                continue
-            nodes += 1
-            if nodes > budget:
-                raise SearchBudgetExceeded(
-                    f"automorphism search visited {nodes} nodes"
-                )
-            mapping[e] = img
-            used[img] = True
-            yield from backtrack(e + 1)
-            used[img] = False
-            mapping[e] = -1
-
-    yield from backtrack(0)
-
-
 def iter_automorphisms(logic: FiniteLogic, budget=DEFAULT_SEARCH_BUDGET):
     """Lazily enumerate the automorphism group in deterministic order."""
-    if logic.order_is_mask_inclusion:
-        ext = _atom_extender(logic)
-        for sigma in _iter_atom_perms(logic, budget):
-            auto = ext.extend(sigma)
-            if auto is not None:
-                yield auto
-    else:
-        yield from _iter_automorphisms_generic(logic, budget)
+    ext = _atom_extender(logic)
+    for sigma in _iter_atom_perms(logic, budget):
+        auto = ext.extend(sigma)
+        if auto is not None:
+            yield auto
 
 
 def automorphisms(logic: FiniteLogic, budget=DEFAULT_SEARCH_BUDGET):

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import rational_lp as rlp
-from .compat import boolean_meet, is_compatible_subset
 from .core import FiniteLogic, derived, find_sup
 from .errors import (
     EmptyStateSpace,
@@ -324,12 +323,12 @@ def check_condition_F(logic: FiniteLogic) -> FaithfulnessReport:
 class ConditionalResult:
     """Outcome of conditioning a state on an event.
 
-    kind is "unique", "non_unique" or "non_existent"; for non-unique
-    results two distinct witness conditionals are attached.  The
-    ``discrepancies`` tuple lists events compatible with the condition
-    whose classical ratio is not forced by the defining constraints; the
-    underlying equivalence is asserted by the source material but checked
-    here empirically.
+    kind is "unique", "non_unique" or "non_existent"; a unique result
+    carries the conditional ``state``, a non-unique one two distinct
+    witness conditionals.  The conditionals are the states mu with
+    mu(f) = base(f)/base(e) for every f <= e; on events f compatible with
+    e this forces the classical ratio base(f ^ e)/base(e), which the
+    tests check against a reference implementation.
     """
 
     kind: str
@@ -337,7 +336,6 @@ class ConditionalResult:
     base: State
     state: State | None = None
     witnesses: tuple = ()
-    discrepancies: tuple = ()
 
 
 def _conditional_rows(space, base: State, e: int):
@@ -381,39 +379,12 @@ def conditional_probability(logic: FiniteLogic, base: State,
             unique = False
             first_gap = i
 
-    discrepancies = _classical_cross_check(space, base, e, poly)
-
     if unique:
         p = tuple(lo_states[i].value for i in range(space.k))
-        return ConditionalResult("unique", e, base, state=space.state(p),
-                                 discrepancies=discrepancies)
+        return ConditionalResult("unique", e, base, state=space.state(p))
     w1 = space.state(lo_states[first_gap].x)
     w2 = space.state(hi_states[first_gap].x)
-    return ConditionalResult("non_unique", e, base, witnesses=(w1, w2),
-                             discrepancies=discrepancies)
-
-
-def _classical_cross_check(space, base, e, poly):
-    """Compare the f <= e formulation against classical ratios on events
-    compatible with e: min and max of mu(f) must both equal
-    base(f ^ e)/base(e) with the meet taken inside a witness Boolean
-    subalgebra."""
-    logic = space.logic
-    out = []
-    for f in range(logic.n):
-        if logic.leq[f, e]:
-            continue  # ratio constraint is the defining row itself
-        verdict = is_compatible_subset(logic, {e, f})
-        if not verdict.compatible:
-            continue
-        meet = boolean_meet(logic, verdict.witness, e, f)
-        expected = base[meet] / base[e]
-        obj = space.indicator(f)
-        lo = poly.solve(obj)
-        hi = poly.solve(obj, maximize=True)
-        if lo.value != expected or hi.value != expected:
-            out.append((f, expected, lo.value, hi.value))
-    return tuple(out)
+    return ConditionalResult("non_unique", e, base, witnesses=(w1, w2))
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,18 @@ against.  Nothing under ``src/`` calls them."""
 
 from fractions import Fraction
 
-from qlogic.errors import VertexBudgetExceeded
-from qlogic.morphisms import dual_state
+import numpy as np
+
+from qlogic.compat import is_compatible_subset
+from qlogic.errors import SearchBudgetExceeded, VertexBudgetExceeded
+from qlogic.morphisms import Automorphism, dual_state
 from qlogic.rational_lp import LPResult
-from qlogic.states import state_polytope
+from qlogic.states import (
+    _conditional_rows,
+    atomic_state,
+    reduced_space,
+    state_polytope,
+)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -207,3 +215,127 @@ def definition_on_vertices(problem, T) -> bool:
         if dual_state(comp.pi2, pulled) != first:
             return False
     return True
+
+
+def definition_on_atomic_states(problem, T) -> bool:
+    """The cloning definition on the atomic states of the input meet
+    atoms: pulled back along T, each must restrict to the atomic state
+    of e on both factors.  The library decides by the inverse-image
+    criterion instead; Lemma 1(b) says the two agree."""
+    comp = problem.composite
+    for e in problem.C:
+        rho = atomic_state(comp.ambient, problem.input_atom[e])
+        pulled = dual_state(T, rho)
+        want = problem.factor_state[e]
+        if dual_state(comp.pi1, pulled) != want:
+            return False
+        if dual_state(comp.pi2, pulled) != want:
+            return False
+    return True
+
+
+def boolean_meet(logic, subalgebra, e, f):
+    """Greatest lower bound of e and f inside a Boolean subalgebra."""
+    lower = [z for z in subalgebra if logic.leq[z, e] and logic.leq[z, f]]
+    for z in lower:
+        if all(logic.leq[w, z] for w in lower):
+            return z
+    raise AssertionError("witness subalgebra is not a lattice")
+
+
+def classical_cross_check(logic, base, e):
+    """Events f compatible with e, not below it, on which the conditionals
+    of ``base`` given e do not all take the classical ratio
+    base(f ^ e)/base(e), the meet taken inside a witness Boolean
+    subalgebra: tuples (f, ratio, min mu(f), max mu(f)).  The library
+    conditions by the rows f <= e alone; on a valid logic they force the
+    ratio, so the tuple is empty."""
+    space = reduced_space(logic)
+    poly = space.polyhedron(_conditional_rows(space, base, e))
+    if not poly.feasible:
+        return ()
+    out = []
+    for f in range(logic.n):
+        if logic.leq[f, e]:
+            continue  # ratio constraint is the defining row itself
+        verdict = is_compatible_subset(logic, {e, f})
+        if not verdict.compatible:
+            continue
+        expected = base[boolean_meet(logic, verdict.witness, e, f)] / base[e]
+        obj = space.indicator(f)
+        lo = poly.solve(obj)
+        hi = poly.solve(obj, maximize=True)
+        if lo.value != expected or hi.value != expected:
+            out.append((f, expected, lo.value, hi.value))
+    return tuple(out)
+
+
+def order_is_mask_inclusion(logic) -> bool:
+    """Do distinct elements have distinct atom masks, with e <= f
+    exactly when the mask of e is inside the mask of f?  Python ints, so
+    any number of atoms."""
+    masks = logic.atom_masks
+    if len(set(masks)) != logic.n:
+        return False
+    arr = np.array(masks, dtype=object)
+    incl = (arr[:, None] & arr[None, :]) == arr[:, None]
+    return np.array_equal(incl.astype(bool), logic.leq)
+
+
+def automorphisms_generic(logic, budget=10 ** 6):
+    """Element-level backtracking over order- and complement-preserving
+    bijections, assuming nothing about atoms: the reference for the
+    atom-mask search of ``morphisms.iter_automorphisms``.  Each element
+    is mapped right before its orthocomplement, whose image is then
+    forced, so the order checks prune early."""
+    n = logic.n
+    leq, ortho = logic.leq, logic.ortho
+    order = []
+    for e in range(n):
+        if e not in order:
+            order += [e, int(ortho[e])]
+    mapping = [-1] * n
+    used = [False] * n
+    nodes = 0
+
+    def consistent(e, img):
+        if (e == logic.zero) != (img == logic.zero):
+            return False
+        if (e == logic.one) != (img == logic.one):
+            return False
+        partner = mapping[ortho[e]]
+        if partner != -1 and partner != ortho[img]:
+            return False
+        for d in range(n):
+            if mapping[d] == -1:
+                continue
+            if leq[d, e] != leq[mapping[d], img]:
+                return False
+            if leq[e, d] != leq[img, mapping[d]]:
+                return False
+        return True
+
+    def backtrack(i):
+        nonlocal nodes
+        if i == n:
+            inverse = [0] * n
+            for x, img in enumerate(mapping):
+                inverse[img] = x
+            yield Automorphism(logic, logic, tuple(mapping), tuple(inverse))
+            return
+        e = order[i]
+        for img in range(n):
+            if used[img] or not consistent(e, img):
+                continue
+            nodes += 1
+            if nodes > budget:
+                raise SearchBudgetExceeded(
+                    f"automorphism search visited {nodes} nodes"
+                )
+            mapping[e] = img
+            used[img] = True
+            yield from backtrack(i + 1)
+            used[img] = False
+            mapping[e] = -1
+
+    yield from backtrack(0)

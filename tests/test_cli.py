@@ -1,10 +1,11 @@
 """Exit-code contract, output determinism, machine-readable round trips."""
 
+import argparse
 import json
 
 import pytest
 
-from qlogic.cli import main
+from qlogic.cli import build_parser, main
 from qlogic.core import LogicDescription, validate_logic
 from qlogic.errors import CertificateFailed, InternalInvariantError
 from qlogic.fixtures import load_fixture
@@ -147,6 +148,8 @@ def _raise(exc):
      2, "error", "input"),
     (["compat", "{MO2}", "--members", "a,b", "--budget", "0"], None,
      3, "error", "budget_exceeded"),
+    (["autos", "{stateless}", "--budget", "10"], None,
+     3, "error", "budget_exceeded"),
     (["transprob", "{MO2}", "b", "a"],
      ("transition_probability", InternalInvariantError("broken")),
      4, "error", "internal"),
@@ -154,7 +157,7 @@ def _raise(exc):
         "not-json", "bad-vector", "unknown-label", "unwritable-output",
         "nan-matrix", "bad-dimension", "bad-hilbert-dim", "nan-tolerance",
         "no-trials", "infinite-index", "non-string-value", "budget",
-        "internal"])
+        "budget-beyond-62-atoms", "internal"])
 def test_error_exit_codes(fixture_files, capsys, monkeypatch, tmp_path,
                           argv, patch, code, field, kind):
     if patch is not None:
@@ -308,3 +311,132 @@ def test_fixture_commands(capsys, tmp_path):
     assert code == 0
     code, _ = run(capsys, "fixture", "info", "nope")
     assert code == 2
+
+
+# ---------------------------------------------------------------------------
+# malformed files, labels and options: exit 2, never a traceback
+# ---------------------------------------------------------------------------
+
+def _commands(parser, prefix=()):
+    """Every leaf subcommand of the parser as a tuple of words."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _commands(sub, prefix + (name,))
+            return
+    yield prefix
+
+
+_COMPOSITE = ["--composite", "{prod22}"]
+_CLONE = _COMPOSITE + ["--C", "x,y", "--f", "x"]
+
+MALFORMED = {
+    "validate": [["{missing}"], ["{not_json}"], ["{array}"],
+                 ["{no_labels}"], ["{le_out_of_range}"],
+                 ["{boolean2}", "--format", "xml"]],
+    "atoms": [["{array}"], ["{not_json}"]],
+    "compat": [["{MO2}", "--members", "a,nope"],
+               ["{MO2}", "--members", "a,b", "--budget", "-1"],
+               ["{MO2}", "--members", "a,b", "--budget", "many"]],
+    "states": [["{MO2}", "--budget", "-1"], ["{missing}"]],
+    "check": [["X", "{MO2}"], ["G", "{MO2}", "--budget", "-1"],
+              ["F", "{array}"]],
+    "condprob": [["{string_values}", "--given", "x"],
+                 ["{short_values}", "--given", "x"],
+                 ["{state}", "--given", "nope"], ["{state}"]],
+    "transprob": [["{MO2}", "a", "nope"], ["{MO2}", "a"]],
+    "autos": [["{MO2}", "--budget", "-1"], ["{no_labels}"]],
+    "product": [["{MO2}"], ["{boolean2}", "--out", "{tmp}/no/dir.json"]],
+    "check-I": [["{array}"], ["{prod22}", "--budget", "-1"]],
+    "check-J": [["{no_pi2}"], ["{not_json}"]],
+    "lemma1": [["{string_map}"], ["{float_map}"], ["{short_map}"],
+               ["{identity_map}", "--e1", "nope", "--e2", "x"]],
+    "lemma2": [["{prod22}", "--events", "x", "y", "x", "nope"],
+               ["{prod22}", "--events", "x"]],
+    "lemma3": [["{prod22}", "--atoms", "x", "nope"],
+               ["{prod22}", "--state", "{missing}"],
+               ["{prod22}", "--budget", "-1"]],
+    "clone-search": [_COMPOSITE + ["--C", "x,nope", "--f", "x"],
+                     _COMPOSITE + ["--C", ",", "--f", "x"],
+                     _COMPOSITE + ["--C", "x", "--f", "1"],
+                     _CLONE + ["--budget", "-1"]],
+    "certify-theorem1": [_COMPOSITE + ["--C", "x'", "--f", "x"],
+                         _CLONE + ["--budget", "1e3"]],
+    "hilbert condprob": [["--density", "{missing}", "--e", "{proj}",
+                          "--f", "{proj}"],
+                         ["--density", "{ragged}", "--e", "{proj}",
+                          "--f", "{proj}"]],
+    "hilbert transition": [["--e", "{not_json}", "--f", "{proj}"],
+                           ["--e", "{proj}", "--f", "{proj}",
+                            "--tolerance", "-1"]],
+    "hilbert atom": [["--xi", "1,abc", "--f", "{proj}"],
+                     ["--xi", "1,0", "--f", "{array}"]],
+    "hilbert embed": [["--e", "{proj}", "--side", "middle",
+                       "--other-dim", "2"],
+                      ["--e", "{proj}", "--side", "first",
+                       "--other-dim", "0"]],
+    "hilbert lemma2": [["--dim", "0"], ["--trials", "many"]],
+    "hilbert clone-test": [["--unitary", "{proj}", "--C", "1,0", "--f", "1,0"],
+                           ["--unitary", "{missing}", "--C", "1,0",
+                            "--f", "1,0"]],
+    "hilbert no-cloning": [["--xi1", "1,0", "--xi2", "nan,0"],
+                           ["--xi1", "1,0"]],
+    "fixture list": [["--format", "xml"]],
+    "fixture info": [["nope"], []],
+    "fixture export": [["nope", "{tmp}/out.json"],
+                       ["MO2", "{tmp}/no/dir.json"]],
+}
+
+
+def _malformed_files(tmp_path, fixture_files):
+    boolean2 = fixture_files["boolean2"]
+    with open(boolean2, encoding="utf-8") as fh:
+        logic = json.load(fh)
+    with open(fixture_files["prod22"], encoding="utf-8") as fh:
+        composite = json.load(fh)
+    del composite["pi2"]
+    contents = {
+        "not_json": "{not json",
+        "array": [],
+        "no_labels": {k: v for k, v in logic.items() if k != "labels"},
+        "le_out_of_range": dict(logic, le=[[0, 99]]),
+        "no_pi2": composite,
+        "state": {"logic": boolean2, "values": ["0", "1", "0", "1"]},
+        "string_values": {"logic": boolean2, "values": "0101"},
+        "short_values": {"logic": boolean2, "values": ["0", "1"]},
+        # a string map is not read as its digits
+        "string_map": {"source": boolean2, "target": boolean2,
+                       "map": "0123"},
+        "float_map": {"source": boolean2, "target": boolean2,
+                      "map": [0, 1.0, 2, 3]},
+        "short_map": {"source": boolean2, "target": boolean2,
+                      "map": [0, 1]},
+        "identity_map": {"source": boolean2, "target": boolean2,
+                         "map": [0, 1, 2, 3]},
+        "proj": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]],
+        "ragged": [[[1, 0]], [[0, 0], [1, 0]]],
+    }
+    paths = dict(fixture_files, tmp=tmp_path,
+                 missing=tmp_path / "missing.json")
+    for name, content in contents.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(content if isinstance(content, str)
+                        else json.dumps(content))
+        paths[name] = path
+    return paths
+
+
+@pytest.mark.parametrize("command", [" ".join(c) for c in
+                                     _commands(build_parser())])
+def test_malformed_input_is_exit_2(fixture_files, capsys, tmp_path, command):
+    cases = MALFORMED.get(command)
+    assert cases, f"no malformed-input case for {command!r}"
+    paths = _malformed_files(tmp_path, fixture_files)
+    for case in cases:
+        argv = command.split() + [a.format(**paths) for a in case]
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the option itself
+            code = exc.code
+        capsys.readouterr()
+        assert code == 2, argv

@@ -1,8 +1,10 @@
 """Cloning transformations, the explicit classical cloner, the search."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import definition_on_vertices
+from oracles import definition_on_atomic_states, definition_on_vertices
 from qlogic.builders import boolean_algebra, mo_logic
 from qlogic.cloning import (
     CloneProblem,
@@ -13,13 +15,27 @@ from qlogic.cloning import (
 )
 from qlogic.composite import boolean_product, make_composite, meet_embed
 from qlogic.core import validate_logic
-from qlogic.errors import PreconditionFailed, SearchBudgetExceeded
-from qlogic.morphisms import automorphisms, validate_automorphism
+from qlogic.errors import (
+    LogicInputError,
+    PreconditionFailed,
+    SearchBudgetExceeded,
+)
+from qlogic.fixtures import load_fixture
+from qlogic.morphisms import (
+    _atom_extender,
+    automorphisms,
+    validate_automorphism,
+)
 
 
 @pytest.fixture(scope="module")
 def prod22():
     return boolean_product(validate_logic(boolean_algebra(2)))
+
+
+@pytest.fixture(scope="module")
+def prod33():
+    return load_fixture("prod33").composite()
 
 
 @pytest.fixture(scope="module")
@@ -68,14 +84,60 @@ def test_identity_fails_for_other_inputs(prod22):
     assert not is_cloning_transformation(problem, identity_auto(prod22.ambient))
 
 
+def _assert_criteria_agree(problem, T):
+    """The inverse-image criterion against the definition on the atomic
+    states and on every polytope vertex; returns the common verdict."""
+    verdict = is_cloning_transformation(problem, T)
+    assert definition_on_atomic_states(problem, T) == verdict
+    assert definition_on_vertices(problem, T) == verdict
+    return verdict
+
+
 def test_atomic_and_vertex_routes_agree_on_all_automorphisms(prod22):
     factor = prod22.factor
     x, y = factor.atoms
     problem = CloneProblem(prod22, [x, y], x)
-    for T in automorphisms(prod22.ambient):
-        fast = is_cloning_transformation(problem, T)
-        slow = definition_on_vertices(problem, T)
-        assert fast == slow
+    verdicts = [_assert_criteria_agree(problem, T)
+                for T in automorphisms(prod22.ambient)]
+    assert True in verdicts and False in verdicts
+
+
+@st.composite
+def _prod33_cases(draw):
+    """A clone problem on prod33 and an atom permutation of its ambient;
+    about half the permutations are repaired to send each copied meet
+    atom to its input meet atom, so cloners are drawn as well."""
+    atoms = draw(st.permutations(range(3)))
+    C = tuple(atoms[:draw(st.integers(1, 3))])
+    f = draw(st.integers(0, 2))
+    sigma = draw(st.permutations(range(9)))
+    return C, f, sigma, draw(st.booleans())
+
+
+@given(_prod33_cases())
+@settings(max_examples=20, deadline=None)
+def test_criteria_agree_on_prod33_atom_permutations(prod33, case):
+    C, f, sigma, repair = case
+    factor, ambient = prod33.factor, prod33.ambient
+    problem = CloneProblem(prod33, [factor.atoms[i] for i in C],
+                           factor.atoms[f])
+    sigma = list(sigma)
+    if repair:
+        pos = {a: i for i, a in enumerate(ambient.atoms)}
+        for e in problem.C:
+            i = pos[problem.copied_atom[e]]
+            j = sigma.index(pos[problem.input_atom[e]])
+            sigma[i], sigma[j] = sigma[j], sigma[i]
+    T = _atom_extender(ambient).extend(tuple(sigma))
+    verdict = _assert_criteria_agree(problem, T)
+    assert verdict or not repair
+
+
+def test_foreign_automorphism_is_input_error(prod22):
+    x = prod22.factor.atoms[0]
+    problem = CloneProblem(prod22, [x], x)
+    with pytest.raises(LogicInputError):
+        is_cloning_transformation(problem, identity_auto(prod22.factor))
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,9 @@ from itertools import combinations
 
 import pytest
 
+from oracles import boolean_meet
 from qlogic.builders import mo_logic
 from qlogic.compat import (
-    boolean_meet,
     closure,
     is_boolean_subalgebra,
     is_compatible_subset,

@@ -4,16 +4,23 @@ from fractions import Fraction as F
 from itertools import permutations
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from oracles import automorphisms_generic, order_is_mask_inclusion
+from qlogic.builders import greechie
+from qlogic.core import validate_logic
 from qlogic.errors import (
     NotInjective,
     NotOrderPreserving,
     OrthoNotPreserved,
     PreconditionFailed,
+    QLogicError,
     UnitNotPreserved,
 )
+from qlogic.fixtures import fixture_names, load_fixture
 from qlogic.morphisms import (
-    _iter_automorphisms_generic,
+    _atom_extender,
     automorphisms,
     check_lemma1a,
     check_lemma1b,
@@ -137,11 +144,69 @@ def test_mo2_automorphism_count_by_exhaustion(mo2):
     assert len(automorphisms(mo2)) == count
 
 
+def _assert_mask_route_is_complete(logic):
+    assert order_is_mask_inclusion(logic)
+    fast = [t.map for t in iter_automorphisms(logic)]
+    slow = {t.map for t in automorphisms_generic(logic)}
+    assert len(fast) == len(set(fast)) and set(fast) == slow
+
+
 def test_generic_backtracking_agrees_with_mask_route(b2, mo2):
     for logic in (b2, mo2):
-        fast = {t.map for t in iter_automorphisms(logic)}
-        slow = {t.map for t in _iter_automorphisms_generic(logic, 10 ** 6)}
-        assert fast == slow
+        _assert_mask_route_is_complete(logic)
+
+
+def test_every_valid_fixture_orders_by_atom_masks():
+    # stateless has 76 atoms: its masks do not fit a machine word
+    for name in fixture_names():
+        fx = load_fixture(name)
+        if fx.kind == "composite":
+            logics = (fx.composite().factor, fx.composite().ambient)
+        elif fx.kind == "logic" and fx.annotations["valid"]:
+            logics = (fx.logic(),)
+        else:
+            continue
+        for logic in logics:
+            assert order_is_mask_inclusion(logic), name
+
+
+@st.composite
+def _pastings(draw):
+    """Up to three blocks of 2-4 atoms over a pool of seven; the pastings
+    that builders.greechie and validation accept are kept."""
+    blocks = draw(st.lists(
+        st.lists(st.sampled_from("abcdefg"), min_size=2, max_size=4,
+                 unique=True).map(tuple),
+        min_size=1, max_size=3))
+    try:
+        return validate_logic(greechie(blocks))
+    except QLogicError:
+        return None
+
+
+@given(_pastings())
+@settings(max_examples=40, deadline=None)
+def test_mask_route_matches_generic_backtracking_on_pastings(logic):
+    assume(logic is not None)
+    _assert_mask_route_is_complete(logic)
+
+
+def test_extension_accepts_exactly_the_orthogonality_preserving_maps(mo2):
+    ext = _atom_extender(mo2)
+    atoms = mo2.atoms
+    pairs = [(i, j) for i in range(len(atoms)) for j in range(i)]
+    for sigma in permutations(range(len(atoms))):
+        keeps = all(mo2.orthogonal(atoms[i], atoms[j])
+                    == mo2.orthogonal(atoms[sigma[i]], atoms[sigma[j]])
+                    for i, j in pairs)
+        assert (ext.extend(sigma) is not None) == keeps
+
+
+def test_identity_extends_beyond_62_atoms():
+    logic = load_fixture("stateless").logic()
+    assert len(logic.atoms) > 62
+    auto = _atom_extender(logic).extend(tuple(range(len(logic.atoms))))
+    assert auto.map == auto.inverse == tuple(range(logic.n))
 
 
 def test_group_axioms(b3, mo2):
