@@ -28,7 +28,7 @@ from .composite import (
     composite_from_dict,
     structural_verdicts,
 )
-from .core import LogicDescription, validate_logic
+from .core import LogicDescription, list_of, validate_logic
 from .errors import (
     AxiomViolation,
     EmptyStateSpace,
@@ -101,15 +101,6 @@ def _read_object(path, what: str, keys) -> dict:
     return data
 
 
-def _list_of(value, kind, what: str) -> list:
-    """A JSON list of ``kind`` items; a string is not read as its
-    characters."""
-    if not (isinstance(value, list) and all(type(x) is kind for x in value)):
-        raise LogicInputError(
-            f"malformed {what}: not a list of {kind.__name__}")
-    return value
-
-
 def _logic(ref, base: Path | None = None):
     """Validate a logic given as a file path (relative to ``base``, the
     directory of the referencing file) or as an inline dict."""
@@ -128,7 +119,7 @@ def _load_state(path: str):
     logic = _logic(data["logic"], Path(path).parent)
     try:
         values = [parse_rational(t)
-                  for t in _list_of(data["values"], str, "state values")]
+                  for t in list_of(data["values"], str, "state values")]
     except (ValueError, ZeroDivisionError) as exc:
         raise LogicInputError(f"malformed state values: {exc}") from exc
     try:
@@ -353,7 +344,7 @@ def _load_morphism(path: str):
     base = Path(path).parent
     source = _logic(data["source"], base)
     target = _logic(data["target"], base)
-    mapping = _list_of(data["map"], int, "morphism map")
+    mapping = list_of(data["map"], int, "morphism map")
     return validate_morphism(source, target, mapping)
 
 

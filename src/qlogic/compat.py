@@ -11,9 +11,10 @@ that minimal candidate, adding generators in index order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
-from .core import FiniteLogic, derived
+import numpy as np
+
+from .core import FiniteLogic, derived, join_table
 from .errors import SearchBudgetExceeded
 
 DEFAULT_NODE_BUDGET = 1_000_000
@@ -27,22 +28,15 @@ class CompatibilityVerdict:
 
 def closure(logic: FiniteLogic, members) -> frozenset:
     """Close under ' and suprema of orthogonal pairs; includes 0 and 1."""
+    join = join_table(logic).join
     cur = set(members) | {logic.zero, logic.one}
-    grew = True
-    while grew:
-        grew = False
-        for e in list(cur):
-            c = logic.orthocomplement(e)
-            if c not in cur:
-                cur.add(c)
-                grew = True
-        for e, f in combinations(sorted(cur), 2):
-            if logic.orthogonal(e, f):
-                s = logic.sup_or_none(e, f)  # exists by axiom (C)
-                if s is not None and s not in cur:
-                    cur.add(s)
-                    grew = True
-    return frozenset(cur)
+    while True:
+        elems = sorted(cur)
+        sups = join[np.ix_(elems, elems)]  # exist by axiom (C)
+        new = set(logic.ortho[elems].tolist()) | set(sups[sups >= 0].tolist())
+        if new <= cur:
+            return frozenset(cur)
+        cur |= new
 
 
 def _induced_tables(logic: FiniteLogic, subset):

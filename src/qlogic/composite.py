@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from .builders import boolean_algebra
 from .compat import mutually_compatible, DEFAULT_NODE_BUDGET
-from .core import FiniteLogic, derived, validate_logic
+from .core import FiniteLogic, derived, list_of, validate_logic
 from .errors import (
     LemmaViolated,
     LogicInputError,
@@ -277,8 +277,8 @@ def composite_from_dict(data: dict, load_logic_fn) -> CompositeLogic:
     try:
         factor = load_logic_fn(data["factor"])
         ambient = load_logic_fn(data["ambient"])
-        map1 = [int(x) for x in data["pi1"]]
-        map2 = [int(x) for x in data["pi2"]]
-    except (KeyError, OverflowError, TypeError, ValueError) as exc:
+        map1 = list_of(data["pi1"], int, "pi1")
+        map2 = list_of(data["pi2"], int, "pi2")
+    except (KeyError, TypeError, ValueError) as exc:
         raise LogicInputError(f"malformed composite description: {exc}") from exc
     return make_composite(factor, ambient, map1, map2)

@@ -5,6 +5,12 @@ order pairs (typically the Hasse diagram), an orthocomplementation given
 as an index permutation, and the indices of the bottom and top elements.
 ``validate_logic`` closes the order pairs, checks the orthomodular axioms
 and returns an immutable ``FiniteLogic`` on which all further queries run.
+
+Suprema and infima are computed in batches by ``joins`` and ``meets``.
+``join_table`` holds, once per logic, the joins of all orthogonal pairs
+and the meets ``e ^ f'`` for ``f <= e`` that axiom (E) is about; axioms
+(C)-(E), the atom decompositions and additivity rows of the state space
+and the compatibility closure all read that one table.
 """
 
 from __future__ import annotations
@@ -64,6 +70,15 @@ def derived(fn):
     return memo
 
 
+def list_of(value, kind, what: str) -> list:
+    """A JSON list of ``kind`` items; a string is not read as its
+    characters, nor a float or a boolean as an int."""
+    if not (isinstance(value, list) and all(type(x) is kind for x in value)):
+        raise LogicInputError(
+            f"malformed {what}: not a list of {kind.__name__}")
+    return value
+
+
 @dataclass(frozen=True)
 class LogicDescription:
     """Unvalidated raw input for a finite event logic.
@@ -111,14 +126,18 @@ class LogicDescription:
     @classmethod
     def from_dict(cls, data: dict) -> "LogicDescription":
         try:
+            pairs = [list_of(p, int, "le pair")
+                     for p in list_of(data["le"], list, "le")]
+            zero, one = list_of([data["zero"], data["one"]], int,
+                                "zero and one")
             return cls(
-                labels=tuple(data["labels"]),
-                le_pairs=tuple((int(i), int(j)) for i, j in data["le"]),
-                ortho=tuple(int(i) for i in data["ortho"]),
-                zero_index=int(data["zero"]),
-                one_index=int(data["one"]),
+                labels=tuple(list_of(data["labels"], str, "labels")),
+                le_pairs=tuple((i, j) for i, j in pairs),
+                ortho=tuple(list_of(data["ortho"], int, "ortho")),
+                zero_index=zero,
+                one_index=one,
             )
-        except (KeyError, OverflowError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise LogicInputError(f"malformed logic description: {exc}") from exc
 
     @classmethod
@@ -144,26 +163,50 @@ def transitive_closure(n: int, pairs) -> np.ndarray:
         leq = new
 
 
-def find_sup(leq: np.ndarray, e: int, f: int):
-    """Unique least upper bound of e and f in the order matrix, or None."""
-    cands = np.flatnonzero(leq[e] & leq[f])
-    if cands.size == 0:
-        return None
-    sub = leq[np.ix_(cands, cands)]
-    below_all = sub.all(axis=1)  # candidate below every other candidate
-    hits = np.flatnonzero(below_all)
-    return int(cands[hits[0]]) if hits.size else None
+# pairs per numpy pass of ``joins``/``meets``: bounds the (pairs, n)
+# temporaries, so no pass ever holds an n x n x n array
+_PAIR_CHUNK = 512
 
 
-def find_inf(leq: np.ndarray, e: int, f: int):
-    """Unique greatest lower bound of e and f, or None."""
-    cands = np.flatnonzero(leq[:, e] & leq[:, f])
-    if cands.size == 0:
-        return None
-    sub = leq[np.ix_(cands, cands)]
-    above_all = sub.all(axis=0)
-    hits = np.flatnonzero(above_all)
-    return int(cands[hits[0]]) if hits.size else None
+def _least_bounds(up: np.ndarray, E, F) -> np.ndarray:
+    """Least common element of the rows ``up[E[i]] & up[F[i]]``, or -1.
+
+    ``up[x]`` is the set of elements above x (below it, for meets),
+    including x.  Everything above a bound u of a pair is a bound too, and
+    all bounds are above u exactly when u is the least one: the bound with
+    the most elements above it is least if that many elements are bounds.
+    """
+    E = np.asarray(E, dtype=np.intp)
+    F = np.asarray(F, dtype=np.intp)
+    out = np.full(E.size, -1, dtype=np.intp)
+    # -1 until counted, so a pair without bounds (0 of them) never matches
+    above = np.full(up.shape[0], -1, dtype=np.int32)
+    for start in range(0, E.size, _PAIR_CHUNK):
+        chunk = slice(start, start + _PAIR_CHUNK)
+        bounds = up[E[chunk]] & up[F[chunk]]
+        cols = np.flatnonzero(bounds.any(axis=0))
+        # what lies above a bound is a bound, so counting within cols is exact
+        above[cols] = up[cols[:, None], cols].sum(axis=1)
+        best = np.where(bounds, above, -1).argmax(axis=1)
+        least = above[best] == bounds.sum(axis=1)
+        out[chunk] = np.where(least, best, -1)
+    return out
+
+
+def joins(leq: np.ndarray, E, F) -> np.ndarray:
+    """Least upper bounds of the pairs (E[i], F[i]) in the order matrix,
+    -1 where a pair has none."""
+    return _least_bounds(leq, E, F)
+
+
+def meets(leq: np.ndarray, E, F) -> np.ndarray:
+    """Greatest lower bounds of the pairs (E[i], F[i]), -1 where none."""
+    return _least_bounds(leq.T, E, F)
+
+
+def _one_or_none(bounds: np.ndarray):
+    x = int(bounds[0])
+    return None if x < 0 else x
 
 
 class FiniteLogic:
@@ -202,7 +245,7 @@ class FiniteLogic:
         return bool(self.leq[e, self.ortho[f]])
 
     def sup(self, e: int, f: int) -> int:
-        s = find_sup(self.leq, e, f)
+        s = self.sup_or_none(e, f)
         if s is None:
             raise NoSupremum(
                 f"no least upper bound of {self.labels[e]!r} and {self.labels[f]!r}"
@@ -210,7 +253,7 @@ class FiniteLogic:
         return s
 
     def inf(self, e: int, f: int) -> int:
-        m = find_inf(self.leq, e, f)
+        m = self.inf_or_none(e, f)
         if m is None:
             raise NoInfimum(
                 f"no greatest lower bound of {self.labels[e]!r} and {self.labels[f]!r}"
@@ -218,10 +261,10 @@ class FiniteLogic:
         return m
 
     def sup_or_none(self, e: int, f: int):
-        return find_sup(self.leq, e, f)
+        return _one_or_none(joins(self.leq, [e], [f]))
 
     def inf_or_none(self, e: int, f: int):
-        return find_inf(self.leq, e, f)
+        return _one_or_none(meets(self.leq, [e], [f]))
 
     def is_atom(self, e: int) -> bool:
         if e == self.zero:
@@ -294,7 +337,8 @@ class FiniteLogic:
         """True iff the whole logic is a Boolean algebra.
 
         Powerset realization is checked first; otherwise meets/joins are
-        scanned and distributivity is tested over all triples.
+        computed one row of pairs at a time, stopping at the first row with
+        a missing bound, and distributivity is tested over all triples.
         """
         if self.is_powerset:
             return True
@@ -302,13 +346,12 @@ class FiniteLogic:
         meet = np.full((n, n), -1, dtype=np.int64)
         join = np.full((n, n), -1, dtype=np.int64)
         for e in range(n):
-            for f in range(e, n):
-                m = find_inf(self.leq, e, f)
-                j = find_sup(self.leq, e, f)
-                if m is None or j is None:
-                    return False
-                meet[e, f] = meet[f, e] = m
-                join[e, f] = join[f, e] = j
+            E, F = np.full(n - e, e), np.arange(e, n)
+            m, j = meets(self.leq, E, F), joins(self.leq, E, F)
+            if (m < 0).any() or (j < 0).any():
+                return False
+            meet[e, e:] = meet[e:, e] = m
+            join[e, e:] = join[e:, e] = j
         for e in range(n):
             # e /\ (f \/ g) == (e /\ f) \/ (e /\ g) for all f, g
             lhs = meet[e][join]
@@ -401,47 +444,76 @@ def validate_logic(raw: LogicDescription,
     return logic
 
 
+@dataclass(frozen=True)
+class JoinTable:
+    """The bounds of one logic that additivity and axioms (C)-(E) use.
+
+    ``join[e, f]`` is e v f for every orthogonal pair, ``meet[e, f]`` is
+    e ^ f' for every f <= e; both are -1 where the pair is not of that
+    kind or the bound does not exist.
+    """
+
+    join: np.ndarray
+    meet: np.ndarray
+
+
+@derived
+def join_table(logic: FiniteLogic) -> JoinTable:
+    """Both tables in one batched pass each.  Orthogonality is symmetric
+    once axioms (A) and (B) hold, which validation checks first, so each
+    unordered orthogonal pair is joined once."""
+    n, leq, ortho = logic.n, logic.leq, logic.ortho
+    join = np.full((n, n), -1, dtype=np.int32)
+    e, f = np.nonzero(np.triu(leq[:, ortho]))
+    join[e, f] = join[f, e] = joins(leq, e, f)
+    meet = np.full((n, n), -1, dtype=np.int32)
+    f, e = np.nonzero(leq)
+    meet[e, f] = meets(leq, e, ortho[f])
+    join.setflags(write=False)
+    meet.setflags(write=False)
+    return JoinTable(join, meet)
+
+
 def _check_axioms_cde(logic: FiniteLogic) -> None:
+    """Raise on the first violation in the order of a scan over e, then f
+    (axioms C and D), and over f, then e (axiom E)."""
     n, leq, ortho, labels = logic.n, logic.leq, logic.ortho, logic.labels
-    sups = {}
-    orth_matrix = leq[:, ortho]  # orth_matrix[e, f] iff e <= f'
-    for e in range(n):
-        for f in range(n):
-            if not orth_matrix[e, f]:
-                continue
-            s = find_sup(leq, e, f)
-            if s is None:
-                raise AxiomViolation(
-                    "C", (e, f),
-                    f"orthogonal pair {labels[e]!r}, {labels[f]!r} has no supremum",
-                )
-            sups[(e, f)] = s
-    for e in range(n):
-        s = sups[(e, int(ortho[e]))]
-        if s != logic.one:
+    table = join_table(logic)
+    missing = np.argwhere(leq[:, ortho] & (table.join < 0))
+    if missing.size:
+        e, f = map(int, missing[0])
+        raise AxiomViolation(
+            "C", (e, f),
+            f"orthogonal pair {labels[e]!r}, {labels[f]!r} has no supremum",
+        )
+    units = table.join[np.arange(n), ortho]
+    wrong = np.flatnonzero(units != logic.one)
+    if wrong.size:
+        e = int(wrong[0])
+        raise AxiomViolation(
+            "D", (e,),
+            f"{labels[e]!r} v {labels[ortho[e]]!r} is {labels[units[e]]!r}, "
+            "not the unit",
+        )
+    f, e = np.nonzero(leq)  # f <= e, row-major
+    m = table.meet[e, f]
+    j = np.where(m < 0, -1, table.join[f, m])  # f v m, m orthogonal to f
+    wrong = np.flatnonzero(j != e)
+    if wrong.size:
+        i = wrong[0]
+        e, f, m, j = int(e[i]), int(f[i]), int(m[i]), int(j[i])
+        if m < 0:
             raise AxiomViolation(
-                "D", (e,),
-                f"{labels[e]!r} v {labels[ortho[e]]!r} is {labels[s]!r}, not the unit",
+                "E", (e, f),
+                f"{labels[e]!r} ^ {labels[ortho[f]]!r} does not exist "
+                f"although {labels[f]!r} <= {labels[e]!r}",
             )
-    for f in range(n):
-        for e in range(n):
-            if not leq[f, e]:
-                continue
-            m = find_inf(leq, e, int(ortho[f]))
-            if m is None:
-                raise AxiomViolation(
-                    "E", (e, f),
-                    f"{labels[e]!r} ^ {labels[ortho[f]]!r} does not exist "
-                    f"although {labels[f]!r} <= {labels[e]!r}",
-                )
-            j = find_sup(leq, f, m)
-            if j != e:
-                got = "nothing" if j is None else repr(labels[j])
-                raise AxiomViolation(
-                    "E", (e, f),
-                    f"{labels[f]!r} v ({labels[e]!r} ^ {labels[ortho[f]]!r}) "
-                    f"is {got}, expected {labels[e]!r}",
-                )
+        got = "nothing" if j < 0 else repr(labels[j])
+        raise AxiomViolation(
+            "E", (e, f),
+            f"{labels[f]!r} v ({labels[e]!r} ^ {labels[ortho[f]]!r}) "
+            f"is {got}, expected {labels[e]!r}",
+        )
 
 
 def load_logic(path) -> LogicDescription:

@@ -20,13 +20,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 from . import rational_lp as rlp
-from .core import FiniteLogic, derived, find_sup
+from .core import FiniteLogic, derived, join_table
 from .errors import (
     EmptyStateSpace,
     EquivalenceViolated,
     InternalInvariantError,
-    NoInfimum,
     NotAnAtom,
     NotUnique,
     StateInvariantError,
@@ -149,49 +150,46 @@ class ReducedStateSpace:
                 mask = logic.atom_masks[e]
                 bits.append(tuple(i for i in range(self.k) if mask >> i & 1))
             return tuple(bits)
+        meet = join_table(logic).meet
+        below = logic.leq[list(self.atoms)]  # below[i, r]: atom i <= r
+        first, some = below.argmax(axis=0).tolist(), below.any(axis=0)
         out = []
         for e in range(logic.n):
             parts = []
             r = e
             while r != logic.zero:
-                a = next((x for x in self.atoms if logic.leq[x, r]), None)
-                if a is None:  # finiteness guarantees an atom below r
+                if not some[r]:  # finiteness guarantees an atom below r
                     raise InternalInvariantError(
                         f"no atom below {logic.labels[r]!r}"
                     )
-                parts.append(self.pos[a])
-                try:
-                    r = logic.inf(r, logic.orthocomplement(a))
-                except NoInfimum as exc:  # validation guarantees existence
+                parts.append(first[r])
+                r = int(meet[r, self.atoms[first[r]]])  # r ^ a'
+                if r < 0:  # validation guarantees existence
                     raise InternalInvariantError(
                         f"decomposition of {logic.labels[e]!r} stalled"
-                    ) from exc
+                    )
             out.append(tuple(parts))
         return tuple(out)
 
     def _additivity_rows(self):
+        """Integer rows s - e - f over the decompositions of every
+        orthogonal pair e, f with join s, deduplicated and sorted."""
         logic = self.logic
         if logic.is_powerset:
             # decompositions are atom sets and orthogonal pairs are
             # disjoint unions, so every additivity row cancels exactly
             return ()
-        orth = logic.leq[:, logic.ortho]
-        rows = set()
-        for e in range(logic.n):
-            for f in range(e, logic.n):
-                if not orth[e, f]:
-                    continue
-                s = find_sup(logic.leq, e, f)
-                coeffs = [0] * self.k
-                for p in self.decomp[s]:
-                    coeffs[p] += 1
-                for p in self.decomp[e]:
-                    coeffs[p] -= 1
-                for p in self.decomp[f]:
-                    coeffs[p] -= 1
-                if any(coeffs):
-                    rows.add(tuple(Fraction(c) for c in coeffs))
-        return tuple(sorted(rows))
+        join = join_table(logic).join
+        counts = np.zeros((logic.n, self.k), dtype=np.int8)  # rows in -2..1
+        for e, parts in enumerate(self.decomp):
+            counts[e, list(parts)] = 1
+        e, f = np.nonzero(np.triu(join >= 0))
+        rows = counts[join[e, f]] - counts[e] - counts[f]
+        rows = rows[rows.any(axis=1)]
+        rows = rows[np.lexsort(rows.T[::-1])]  # first column first
+        fresh = np.ones(len(rows), dtype=bool)
+        fresh[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+        return tuple(map(tuple, rows[fresh].tolist()))
 
     # -- helpers ----------------------------------------------------------
 
@@ -259,6 +257,7 @@ def _polytope_vertices(logic, budget=DEFAULT_VERTEX_BUDGET):
     return rlp.enumerate_vertices_basis(*reduced_space(logic).system(), budget)
 
 
+@derived
 def state_polytope(logic: FiniteLogic,
                    budget=DEFAULT_VERTEX_BUDGET) -> StatePolytope:
     """Enumerate every extreme state in exact arithmetic."""

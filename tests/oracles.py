@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 
 from qlogic.compat import is_compatible_subset
-from qlogic.errors import SearchBudgetExceeded, VertexBudgetExceeded
+from qlogic.errors import AxiomViolation, SearchBudgetExceeded, VertexBudgetExceeded
 from qlogic.morphisms import Automorphism, dual_state
 from qlogic.rational_lp import LPResult
 from qlogic.states import (
@@ -18,6 +18,72 @@ from qlogic.states import (
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+
+def find_sup(leq, e, f):
+    """Unique least upper bound of e and f in the order matrix, or None:
+    the upper bound that lies below every other one."""
+    cands = np.flatnonzero(leq[e] & leq[f])
+    if cands.size == 0:
+        return None
+    sub = leq[np.ix_(cands, cands)]
+    hits = np.flatnonzero(sub.all(axis=1))
+    return int(cands[hits[0]]) if hits.size else None
+
+
+def find_inf(leq, e, f):
+    """Unique greatest lower bound of e and f, or None."""
+    cands = np.flatnonzero(leq[:, e] & leq[:, f])
+    if cands.size == 0:
+        return None
+    sub = leq[np.ix_(cands, cands)]
+    hits = np.flatnonzero(sub.all(axis=0))
+    return int(cands[hits[0]]) if hits.size else None
+
+
+def check_axioms_cde(logic):
+    """Axioms (C)-(E) by a pair scan with one bound search per pair: the
+    reference for the first witness and message that
+    ``validate_logic`` reports from its join table."""
+    n, leq, ortho, labels = logic.n, logic.leq, logic.ortho, logic.labels
+    sups = {}
+    for e in range(n):
+        for f in range(n):
+            if not leq[e, ortho[f]]:
+                continue
+            s = find_sup(leq, e, f)
+            if s is None:
+                raise AxiomViolation(
+                    "C", (e, f),
+                    f"orthogonal pair {labels[e]!r}, {labels[f]!r} has no supremum",
+                )
+            sups[(e, f)] = s
+    for e in range(n):
+        s = sups[(e, int(ortho[e]))]
+        if s != logic.one:
+            raise AxiomViolation(
+                "D", (e,),
+                f"{labels[e]!r} v {labels[ortho[e]]!r} is {labels[s]!r}, not the unit",
+            )
+    for f in range(n):
+        for e in range(n):
+            if not leq[f, e]:
+                continue
+            m = find_inf(leq, e, int(ortho[f]))
+            if m is None:
+                raise AxiomViolation(
+                    "E", (e, f),
+                    f"{labels[e]!r} ^ {labels[ortho[f]]!r} does not exist "
+                    f"although {labels[f]!r} <= {labels[e]!r}",
+                )
+            j = find_sup(leq, f, m)
+            if j != e:
+                got = "nothing" if j is None else repr(labels[j])
+                raise AxiomViolation(
+                    "E", (e, f),
+                    f"{labels[f]!r} v ({labels[e]!r} ^ {labels[ortho[f]]!r}) "
+                    f"is {got}, expected {labels[e]!r}",
+                )
 
 
 def _pivot(T, basis, row, col):
@@ -119,6 +185,35 @@ class FractionPolyhedron:
         if maximize:
             value = -value
         return LPResult("optimal", value, tuple(x))
+
+
+def additivity_rows(logic):
+    """The additivity rows of ``states.ReducedStateSpace`` rebuilt from
+    the definition: atom decompositions peeled with ``find_inf``, then
+    one ``Fraction`` row s - e - f per orthogonal pair e, f with join s
+    found by ``find_sup``; deduplicated and sorted."""
+    leq, ortho, atoms = logic.leq, logic.ortho, logic.atoms
+    decomp = []
+    for e in range(logic.n):
+        parts, r = [], e
+        while r != logic.zero:
+            i = next(i for i, a in enumerate(atoms) if leq[a, r])
+            parts.append(i)
+            r = find_inf(leq, r, int(ortho[atoms[i]]))
+        decomp.append(parts)
+    rows = set()
+    for e in range(logic.n):
+        for f in range(e, logic.n):
+            if not leq[e, ortho[f]]:
+                continue
+            coeffs = [ZERO] * len(atoms)
+            for p in decomp[find_sup(leq, e, f)]:
+                coeffs[p] += 1
+            for p in decomp[e] + decomp[f]:
+                coeffs[p] -= 1
+            if any(coeffs):
+                rows.add(tuple(coeffs))
+    return sorted(rows)
 
 
 def enumerate_vertices_dd(A, b, budget=100_000):

@@ -333,6 +333,7 @@ _CLONE = _COMPOSITE + ["--C", "x,y", "--f", "x"]
 MALFORMED = {
     "validate": [["{missing}"], ["{not_json}"], ["{array}"],
                  ["{no_labels}"], ["{le_out_of_range}"],
+                 ["{string_ortho}"], ["{float_ortho}"],
                  ["{boolean2}", "--format", "xml"]],
     "atoms": [["{array}"], ["{not_json}"]],
     "compat": [["{MO2}", "--members", "a,nope"],
@@ -348,7 +349,7 @@ MALFORMED = {
     "autos": [["{MO2}", "--budget", "-1"], ["{no_labels}"]],
     "product": [["{MO2}"], ["{boolean2}", "--out", "{tmp}/no/dir.json"]],
     "check-I": [["{array}"], ["{prod22}", "--budget", "-1"]],
-    "check-J": [["{no_pi2}"], ["{not_json}"]],
+    "check-J": [["{no_pi2}"], ["{not_json}"], ["{string_pi1}"]],
     "lemma1": [["{string_map}"], ["{float_map}"], ["{short_map}"],
                ["{identity_map}", "--e1", "nope", "--e2", "x"]],
     "lemma2": [["{prod22}", "--events", "x", "y", "x", "nope"],
@@ -400,6 +401,11 @@ def _malformed_files(tmp_path, fixture_files):
         "array": [],
         "no_labels": {k: v for k, v in logic.items() if k != "labels"},
         "le_out_of_range": dict(logic, le=[[0, 99]]),
+        # index lists are not read as digits or truncated
+        "string_ortho": dict(logic, ortho="3210"),
+        "float_ortho": dict(logic, ortho=[3.7, 2.7, 1.7, 0.7]),
+        "string_pi1": {"factor": boolean2, "ambient": boolean2,
+                       "pi1": "0123", "pi2": [0, 1, 2, 3]},
         "no_pi2": composite,
         "state": {"logic": boolean2, "values": ["0", "1", "0", "1"]},
         "string_values": {"logic": boolean2, "values": "0101"},

@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
+from oracles import find_inf, find_sup
 from qlogic.builders import boolean_algebra, greechie, hexagon_o6, mo_logic
 from qlogic.core import (
     LogicDescription,
-    find_inf,
-    find_sup,
+    joins,
+    meets,
     transitive_closure,
     validate_logic,
 )
@@ -221,6 +222,11 @@ def test_no_supremum_on_raw_poset():
     for i, j in order:
         leq[i, j] = True
     assert find_sup(leq, 1, 2) is None
+    assert joins(leq, [1], [2]).tolist() == [-1]
+    # an antichain: no bound at all
+    antichain = np.eye(2, dtype=bool)
+    assert joins(antichain, [0], [1]).tolist() == [-1]
+    assert meets(antichain, [0], [1]).tolist() == [-1]
 
 
 def test_no_supremum_in_valid_logic():

@@ -64,6 +64,9 @@ def test_library_calls_share_entries(mo2):
     rep = check_condition_G(mo2)
     assert check_condition_G(mo2, DEFAULT_VERTEX_BUDGET) is rep
     assert check_condition_G(mo2, budget=DEFAULT_VERTEX_BUDGET) is rep
+    poly = state_polytope(mo2)
+    assert state_polytope(mo2) is poly
+    assert state_polytope(mo2, budget=DEFAULT_VERTEX_BUDGET) is poly
 
 
 def test_library_exceptions_are_not_stored(mo2):
