@@ -5,7 +5,10 @@ is closed under orthocomplement and suprema of orthogonal pairs,
 contains the bounds, and forms a distributive ortholattice in the
 induced order.  The closure of the members under those operations is
 contained in every such B, so the search grows closed supersets from
-that minimal candidate, adding generators in index order.
+that minimal candidate, adding generators in index order.  Closures read
+the logic's join table, and each candidate is tested on its induced
+order by ``core.is_boolean_lattice``, which also decides
+``FiniteLogic.is_boolean``.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FiniteLogic, derived, join_table
+from .core import FiniteLogic, derived, is_boolean_lattice, join_table
 from .errors import SearchBudgetExceeded
 
 DEFAULT_NODE_BUDGET = 1_000_000
@@ -39,48 +42,16 @@ def closure(logic: FiniteLogic, members) -> frozenset:
         cur |= new
 
 
-def _induced_tables(logic: FiniteLogic, subset):
-    """Meet and join tables of the induced order, or None if not a lattice."""
-    elems = sorted(subset)
-    k = len(elems)
-    pos = {e: i for i, e in enumerate(elems)}
-    leq = logic.leq
-    meet = [[0] * k for _ in range(k)]
-    join = [[0] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(i, k):
-            e, f = elems[i], elems[j]
-            lower = [z for z in elems if leq[z, e] and leq[z, f]]
-            best = next((z for z in lower if all(leq[w, z] for w in lower)), None)
-            if best is None:
-                return None
-            meet[i][j] = meet[j][i] = pos[best]
-            upper = [z for z in elems if leq[e, z] and leq[f, z]]
-            best = next((z for z in upper if all(leq[z, w] for w in upper)), None)
-            if best is None:
-                return None
-            join[i][j] = join[j][i] = pos[best]
-    return elems, meet, join
-
-
 def is_boolean_subalgebra(logic: FiniteLogic, subset) -> bool:
     """Is the closed subset a Boolean lattice under the induced order?
 
     The subset is assumed closed under ' with 0 and 1 present, which
     already forces b v b' = 1 and b ^ b' = 0 inside the subset, so only
-    lattice structure and distributivity remain to be tested.
+    lattice structure and distributivity remain to be tested, by
+    ``core.is_boolean_lattice`` on the induced order matrix.
     """
-    tables = _induced_tables(logic, subset)
-    if tables is None:
-        return False
-    elems, meet, join = tables
-    k = len(elems)
-    for a in range(k):
-        for b in range(k):
-            for c in range(k):
-                if meet[a][join[b][c]] != join[meet[a][b]][meet[a][c]]:
-                    return False
-    return True
+    elems = sorted(subset)
+    return is_boolean_lattice(logic.leq[np.ix_(elems, elems)])
 
 
 def is_compatible_subset(logic: FiniteLogic, members,

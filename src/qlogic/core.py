@@ -11,6 +11,8 @@ Suprema and infima are computed in batches by ``joins`` and ``meets``.
 and the meets ``e ^ f'`` for ``f <= e`` that axiom (E) is about; axioms
 (C)-(E), the atom decompositions and additivity rows of the state space
 and the compatibility closure all read that one table.
+``is_boolean_lattice`` decides the Boolean test of a logic and of the
+compatibility search's candidate subsets from the same batched bounds.
 """
 
 from __future__ import annotations
@@ -204,6 +206,34 @@ def meets(leq: np.ndarray, E, F) -> np.ndarray:
     return _least_bounds(leq.T, E, F)
 
 
+def is_boolean_lattice(leq: np.ndarray) -> bool:
+    """Is the order matrix a distributive lattice?
+
+    Under an orthocomplementation with 0 and 1 present, as on a logic or
+    on a subset closed under ', that makes it a Boolean algebra.  Meets
+    and joins are computed a block of rows (about ``_PAIR_CHUNK`` pairs)
+    at a time, stopping at the first block with a missing bound, and
+    distributivity is then tested over all triples.
+    """
+    n = len(leq)
+    meet = np.empty((n, n), dtype=np.intp)
+    join = np.empty((n, n), dtype=np.intp)
+    step = max(1, _PAIR_CHUNK // n)
+    for start in range(0, n, step):
+        rows = slice(start, min(n, start + step))
+        E, F = np.divmod(np.arange(rows.start * n, rows.stop * n), n)
+        meet[rows] = meets(leq, E, F).reshape(-1, n)
+        join[rows] = joins(leq, E, F).reshape(-1, n)
+        if (meet[rows] < 0).any() or (join[rows] < 0).any():
+            return False
+    for e in range(n):
+        # e /\ (f \/ g) == (e /\ f) \/ (e /\ g) for all f, g
+        if not np.array_equal(meet[e][join],
+                              join[meet[e][:, None], meet[e][None, :]]):
+            return False
+    return True
+
+
 def _one_or_none(bounds: np.ndarray):
     x = int(bounds[0])
     return None if x < 0 else x
@@ -334,31 +364,10 @@ class FiniteLogic:
 
     @cached_property
     def is_boolean(self) -> bool:
-        """True iff the whole logic is a Boolean algebra.
-
-        Powerset realization is checked first; otherwise meets/joins are
-        computed one row of pairs at a time, stopping at the first row with
-        a missing bound, and distributivity is tested over all triples.
-        """
-        if self.is_powerset:
-            return True
-        n = self.n
-        meet = np.full((n, n), -1, dtype=np.int64)
-        join = np.full((n, n), -1, dtype=np.int64)
-        for e in range(n):
-            E, F = np.full(n - e, e), np.arange(e, n)
-            m, j = meets(self.leq, E, F), joins(self.leq, E, F)
-            if (m < 0).any() or (j < 0).any():
-                return False
-            meet[e, e:] = meet[e:, e] = m
-            join[e, e:] = join[e:, e] = j
-        for e in range(n):
-            # e /\ (f \/ g) == (e /\ f) \/ (e /\ g) for all f, g
-            lhs = meet[e][join]
-            rhs = join[meet[e][:, None], meet[e][None, :]]
-            if not np.array_equal(lhs, rhs):
-                return False
-        return True
+        """True iff the whole logic is a Boolean algebra: a powerset, or
+        else a distributive lattice (an orthocomplemented one is
+        Boolean)."""
+        return self.is_powerset or is_boolean_lattice(self.leq)
 
     # -- serialization --------------------------------------------------
 

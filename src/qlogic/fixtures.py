@@ -13,10 +13,8 @@ from __future__ import annotations
 
 import functools
 import json
-import math
 from dataclasses import dataclass, field
 from importlib import resources
-from pathlib import Path
 
 import numpy as np
 
@@ -30,7 +28,12 @@ from .composite import (
 from .core import FiniteLogic, LogicDescription, derived, validate_logic
 from .errors import AxiomViolation, InternalInvariantError, QLogicError, UnknownFixture
 from .morphisms import automorphisms
-from .states import check_condition_F, check_condition_G, check_condition_H
+from .states import (
+    check_condition_F,
+    check_condition_G,
+    check_condition_H,
+    reduced_space,
+)
 
 def _read_data_json(fname: str) -> dict:
     return json.loads(
@@ -112,89 +115,74 @@ def load_fixture(name: str) -> LoadedFixture:
     data = _read_data_json(entry["file"])
     fx = LoadedFixture(name=name, kind=entry["kind"],
                        annotations=entry["annotations"], data=data)
-    _verify_basic(fx)
+    _verify(fx, deep=False)
     return fx
 
 
-def _verify_basic(fx: LoadedFixture) -> None:
+_DEEP = {
+    "F": lambda logic: check_condition_F(logic).holds,
+    "G": lambda logic: check_condition_G(logic).holds,
+    "H": lambda logic: check_condition_H(logic).holds,
+    "aut_order": lambda logic: len(automorphisms(logic)),
+    "empty_state_space": lambda logic: not reduced_space(logic).feasible(),
+}
+
+
+def _derive(fx: LoadedFixture, deep: bool) -> dict:
+    """The fixture's annotations re-derived: the cheap ones always, and
+    with ``deep`` the expensive ones the manifest carries outside
+    "deferred"."""
     ann = fx.annotations
-    if fx.kind == "logic":
-        if ann.get("valid", True):
-            logic = fx.logic()
-            checks = {
-                "n": logic.n,
-                "atoms": len(logic.atoms),
-                "boolean": logic.is_boolean,
-            }
-            for key, got in checks.items():
-                if key in ann and ann[key] != got:
-                    raise InternalInvariantError(
-                        f"fixture {fx.name}: annotation {key}={ann[key]} "
-                        f"but derived {got}"
-                    )
-        else:
-            try:
-                fx.logic()
-            except AxiomViolation as exc:
-                if exc.axiom != ann.get("axiom_violation"):
-                    raise InternalInvariantError(
-                        f"fixture {fx.name}: expected axiom "
-                        f"({ann.get('axiom_violation')}) violation, got ({exc.axiom})"
-                    ) from exc
-            except QLogicError as exc:
-                raise InternalInvariantError(
-                    f"fixture {fx.name}: unexpected failure {exc}"
-                ) from exc
-            else:
-                raise InternalInvariantError(
-                    f"fixture {fx.name}: annotated invalid but validated"
-                )
-    elif fx.kind == "composite":
+    wanted = set(ann) - set(ann.get("deferred", ()))
+    if fx.kind == "composite":
         comp = fx.composite()
-        checks = {
-            "factor_n": comp.factor.n,
-            "ambient_n": comp.ambient.n,
-            **structural_verdicts(comp),
-        }
-        for key, got in checks.items():
-            if key in ann and ann[key] != got:
-                raise InternalInvariantError(
-                    f"fixture {fx.name}: annotation {key}={ann[key]} "
-                    f"but derived {got}"
-                )
+        got = {"factor_n": comp.factor.n, "ambient_n": comp.ambient.n,
+               **structural_verdicts(comp)}
+        if deep and "ambient_aut_order" in wanted:
+            got["ambient_aut_order"] = len(automorphisms(comp.ambient))
+        return got
+    if fx.kind != "logic":
+        return {}
+    try:
+        logic = fx.logic()
+    except AxiomViolation as exc:
+        return {"valid": False, "axiom_violation": exc.axiom,
+                "n": len(fx.description().labels)}
+    except QLogicError as exc:
+        raise InternalInvariantError(
+            f"fixture {fx.name}: unexpected failure {exc}") from exc
+    got = {"valid": True, "n": logic.n, "atoms": len(logic.atoms),
+           "boolean": logic.is_boolean}
+    if deep:
+        got.update((key, derive(logic)) for key, derive in _DEEP.items()
+                   if key in wanted)
+    return got
+
+
+def _verify(fx: LoadedFixture, deep: bool) -> dict:
+    """The re-derived annotations; raises on any that disagrees with the
+    manifest."""
+    got = _derive(fx, deep)
+    for key, value in got.items():
+        if key in fx.annotations and fx.annotations[key] != value:
+            raise InternalInvariantError(
+                f"fixture {fx.name}: annotation {key}={fx.annotations[key]} "
+                f"but derived {value}"
+            )
+    return got
 
 
 def verify_fixture(name: str, deep: bool = False) -> dict:
     """Re-derive annotations; returns the derived values.
 
-    With ``deep`` the state conditions and automorphism group order are
-    recomputed (except annotations listed under "deferred", which the
-    acceptance suite covers)."""
-    fx = load_fixture(name)
-    ann = fx.annotations
-    rederived: dict = {}
-    if fx.kind == "logic" and ann.get("valid", True) and deep:
-        logic = fx.logic()
-        deferred = set(ann.get("deferred", ()))
-        if "F" in ann:
-            rederived["F"] = check_condition_F(logic).holds
-        if "G" in ann and "G" not in deferred:
-            rederived["G"] = check_condition_G(logic).holds
-        if "H" in ann and "H" not in deferred:
-            rederived["H"] = check_condition_H(logic).holds
-        if "aut_order" in ann and "aut_order" not in deferred:
-            rederived["aut_order"] = len(automorphisms(logic))
-        for key, got in rederived.items():
-            if ann[key] != got:
-                raise InternalInvariantError(
-                    f"fixture {name}: annotation {key}={ann[key]} "
-                    f"but derived {got}"
-                )
-    return rederived
+    With ``deep`` the state conditions, automorphism group orders and the
+    empty state space are recomputed too (except annotations listed under
+    "deferred", which the acceptance suite covers)."""
+    return _verify(load_fixture(name), deep)
 
 
 # ---------------------------------------------------------------------------
-# regeneration (development aid; the catalog self-consistency test runs it)
+# construction (the catalog self-consistency test rebuilds every file)
 # ---------------------------------------------------------------------------
 
 def build_fixture_payloads() -> dict:
@@ -219,66 +207,3 @@ def build_fixture_payloads() -> dict:
         }
     }
     return payloads
-
-
-def regenerate(target_dir) -> None:
-    """Rewrite all fixture files and the manifest into a directory."""
-    target = Path(target_dir)
-    target.mkdir(parents=True, exist_ok=True)
-    payloads = build_fixture_payloads()
-    manifest = {}
-    for name in FIXTURE_NAMES:
-        payload = payloads[name]
-        fname = f"{name}.json"
-        with open(target / fname, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
-        manifest[name] = {
-            "kind": ("vectors" if name == "hilbert_demo"
-                     else "composite" if name.startswith("prod")
-                     else "logic"),
-            "file": fname,
-            "annotations": _derive_annotations(name, payload),
-        }
-    with open(target / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _derive_annotations(name: str, payload: dict) -> dict:
-    if name == "hilbert_demo":
-        return {"overlap_basis0_plus": 0.5, "cloneable_basis0_plus": False}
-    if name.startswith("prod"):
-        comp = _inline_composite(payload)
-        ann = {
-            "factor_n": comp.factor.n,
-            "ambient_n": comp.ambient.n,
-            **structural_verdicts(comp),
-            "ambient_aut_order": math.factorial(len(comp.ambient.atoms)),
-        }
-        if name == "prod33":
-            ann["deferred"] = ["ambient_aut_order"]
-        return ann
-    desc = LogicDescription.from_dict(payload)
-    try:
-        logic = validate_logic(desc)
-    except AxiomViolation as exc:
-        return {"valid": False, "axiom_violation": exc.axiom,
-                "n": len(desc.labels)}
-    ann = {
-        "valid": True,
-        "n": logic.n,
-        "atoms": len(logic.atoms),
-        "boolean": logic.is_boolean,
-    }
-    if name == "stateless":
-        ann["empty_state_space"] = True
-        return ann
-    ann["F"] = check_condition_F(logic).holds
-    if name == "nonfaithful":
-        # vertex enumeration is beyond budget here; (F) is its purpose
-        return ann
-    ann["G"] = check_condition_G(logic).holds
-    ann["H"] = check_condition_H(logic).holds
-    ann["aut_order"] = len(automorphisms(logic))
-    return ann

@@ -237,43 +237,29 @@ def reduced_space(logic: FiniteLogic) -> ReducedStateSpace:
 
 @dataclass(frozen=True)
 class StatePolytope:
-    """All states of a logic: vertex list plus the defining constraints.
-
-    Constraints are given in atom coordinates (one coordinate per atom,
-    in ``atom_order``); every other element value is the sum over its
-    orthogonal atom decomposition.
-    """
+    """All states of a logic, given by its extreme states."""
 
     logic: FiniteLogic
     vertices: tuple
-    atom_order: tuple
-    equality_constraints: tuple  # ((coeffs, rhs), ...)
-    bound_constraints: tuple     # ((lo, hi), ...) per atom
 
 
 @derived
 def _polytope_vertices(logic, budget=DEFAULT_VERTEX_BUDGET):
-    """Vertices in atom coordinates, enumerated once per logic and budget."""
-    return rlp.enumerate_vertices_basis(*reduced_space(logic).system(), budget)
+    """The extreme states, enumerated and built once per logic and
+    budget."""
+    space = reduced_space(logic)
+    return tuple(map(space.state,
+                     rlp.enumerate_vertices_basis(*space.system(), budget)))
 
 
 @derived
 def state_polytope(logic: FiniteLogic,
                    budget=DEFAULT_VERTEX_BUDGET) -> StatePolytope:
     """Enumerate every extreme state in exact arithmetic."""
-    space = reduced_space(logic)
     verts = _polytope_vertices(logic, budget)
     if not verts:
         raise EmptyStateSpace(f"{logic!r} admits no state")
-    constraints = tuple((row, ZERO) for row in space.rows)
-    constraints += ((space.norm, ONE),)
-    return StatePolytope(
-        logic=logic,
-        vertices=tuple(space.state(p) for p in verts),
-        atom_order=space.atoms,
-        equality_constraints=constraints,
-        bound_constraints=tuple((ZERO, ONE) for _ in range(space.k)),
-    )
+    return StatePolytope(logic, verts)
 
 
 # ---------------------------------------------------------------------------
@@ -415,20 +401,17 @@ def check_condition_G(logic: FiniteLogic,
         if e == logic.zero:
             continue
         # the maximum over the polytope is attained at a vertex
-        if all(space.value(p, e) == 0 for p in verts):
+        if all(v[e] == 0 for v in verts):
             continue  # never conditionable; imposes nothing
         if not logic.is_powerset:
             # on a powerset the ratio state itself is a conditional, so
             # existence never fails and only other logics need the LPs
-            for p in verts:
-                if space.value(p, e) == 0:
-                    continue
-                base = space.state(p)
-                rows = _conditional_rows(space, base, e)
-                if not space.feasible(rows):
+            for v in verts:
+                if v[e] != 0 and not space.feasible(
+                        _conditional_rows(space, v, e)):
                     return UniqueConditionalsReport(
                         holds=False, failure_kind="non_existent",
-                        element=e, vertex=base,
+                        element=e, vertex=v,
                     )
         gap = _uniqueness_gap(space, e)
         if gap is not None:
@@ -509,13 +492,12 @@ def check_condition_H(logic: FiniteLogic,
     value(f) = 1) is attained at a face vertex, and the face's vertices
     are exactly the polytope vertices lying on it, so one vertex sweep
     answers every pair."""
-    space = reduced_space(logic)
     verts = _polytope_vertices(logic, budget)
     ones = []
     for e in range(logic.n):
         mask = 0
-        for vi, p in enumerate(verts):
-            if space.value(p, e) == 1:
+        for vi, v in enumerate(verts):
+            if v[e] == 1:
                 mask |= 1 << vi
         ones.append(mask)
     vacuous = tuple(f for f in range(logic.n) if ones[f] == 0)
@@ -529,7 +511,7 @@ def check_condition_H(logic: FiniteLogic,
                 vi = ones[f].bit_length() - 1
                 return StrongStateSpaceReport(
                     holds=False, violating_pair=(e, f),
-                    evidence=space.state(verts[vi]),
+                    evidence=verts[vi],
                     vacuous_premises=vacuous,
                 )
     return StrongStateSpaceReport(holds=True, vacuous_premises=vacuous)

@@ -41,6 +41,19 @@ def find_inf(leq, e, f):
     return int(cands[hits[0]]) if hits.size else None
 
 
+def is_boolean_lattice(leq):
+    """Every pair has a ``find_inf`` and a ``find_sup``, and meets
+    distribute over joins for all triples: the reference for
+    ``core.is_boolean_lattice``."""
+    n = len(leq)
+    meet = [[find_inf(leq, a, b) for b in range(n)] for a in range(n)]
+    join = [[find_sup(leq, a, b) for b in range(n)] for a in range(n)]
+    if any(None in row for row in meet + join):
+        return False
+    return all(meet[a][join[b][c]] == join[meet[a][b]][meet[a][c]]
+               for a in range(n) for b in range(n) for c in range(n))
+
+
 def check_axioms_cde(logic):
     """Axioms (C)-(E) by a pair scan with one bound search per pair: the
     reference for the first witness and message that

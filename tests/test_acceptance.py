@@ -35,6 +35,7 @@ from qlogic.morphisms import (
     automorphisms,
     check_lemma1a,
     check_lemma1b,
+    validate_automorphism,
     validate_morphism,
 )
 from qlogic.states import (
@@ -263,6 +264,8 @@ def test_criterion_7_theorem1_certificates(products):
                 assert rep.cloner.map == oracle[0]
                 assert rep.theorem_consistent
                 explicit = classical_cloner(problem)
+                assert validate_automorphism(
+                    explicit.source, explicit.map).inverse == explicit.inverse
                 assert is_cloning_transformation(problem, explicit)
                 assert theorem1_certificate(problem, explicit).holds
                 problems2 += 1
@@ -296,6 +299,8 @@ def test_criterion_7_theorem1_certificates(products):
                 found3 += 1
                 assert is_cloning_transformation(problem, rep.cloner)
                 explicit = classical_cloner(problem)
+                assert validate_automorphism(
+                    explicit.source, explicit.map).inverse == explicit.inverse
                 assert is_cloning_transformation(problem, explicit)
                 assert theorem1_certificate(problem, rep.cloner).holds
                 problems3 += 1

@@ -144,32 +144,41 @@ def test_foreign_automorphism_is_input_error(prod22):
 # classical cloner
 # ---------------------------------------------------------------------------
 
+def checked_classical_cloner(problem):
+    """The library's classical cloner, checked to be an automorphism of
+    the ambient and a cloning transformation."""
+    T = classical_cloner(problem)
+    ambient = problem.composite.ambient
+    assert validate_automorphism(ambient, T.map).inverse == T.inverse
+    assert is_cloning_transformation(problem, T)
+    return T
+
+
 def test_classical_cloner_swaps_expected_atoms(prod22):
     factor, ambient = prod22.factor, prod22.ambient
     x, y = factor.atoms
     problem = CloneProblem(prod22, [x, y], x)
-    T = classical_cloner(problem)
+    T = checked_classical_cloner(problem)
     # (y,x) <-> (y,y) swapped; (x,x) pairs with itself and stays fixed
     yx = meet_embed(prod22, y, x)
     yy = meet_embed(prod22, y, y)
     xx = meet_embed(prod22, x, x)
     assert T.map[yy] == yx and T.map[yx] == yy
     assert T.map[xx] == xx
-    assert is_cloning_transformation(problem, T)
 
 
 def test_classical_cloner_blank_only_is_identity(prod22):
     factor = prod22.factor
     x = factor.atoms[0]
     problem = CloneProblem(prod22, [x], x)
-    T = classical_cloner(problem)
+    T = checked_classical_cloner(problem)
     assert T.map == tuple(range(prod22.ambient.n))
 
 
 def test_classical_cloner_two_element_factor(prod11):
     factor = prod11.factor
     problem = CloneProblem(prod11, [factor.one], factor.one)
-    T = classical_cloner(problem)
+    T = checked_classical_cloner(problem)
     assert T.map == tuple(range(prod11.ambient.n))
 
 

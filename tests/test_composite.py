@@ -2,9 +2,12 @@
 
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
-from qlogic.builders import boolean_algebra, mo_logic
+from qlogic import composite
+from qlogic.builders import boolean_algebra, greechie, mo_logic
+from qlogic.cloning import CloneProblem
 from qlogic.composite import (
     boolean_product,
     check_condition_I,
@@ -12,15 +15,18 @@ from qlogic.composite import (
     check_lemma2,
     check_lemma3,
     composite_from_dict,
+    embedded_meets,
     make_composite,
     meet_embed,
 )
-from qlogic.core import LogicDescription, validate_logic
+from qlogic.core import LogicDescription, meets, validate_logic
 from qlogic.errors import (
     LogicInputError,
+    NoInfimum,
     NotBoolean,
     PreconditionFailed,
 )
+from qlogic.fixtures import load_fixture
 from qlogic.morphisms import dual_state
 from qlogic.states import atomic_state, state_polytope, transition_probability
 
@@ -55,6 +61,13 @@ def test_product_grid_atoms(prod22):
             assert ambient.labels[m] == lbl
             seen.add(m)
     assert seen == set(ambient.atoms)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_every_boolean_product_satisfies_I_and_J(k):
+    comp = boolean_product(validate_logic(boolean_algebra(k)))
+    assert check_condition_I(comp).holds
+    assert check_condition_J(comp).holds
 
 
 def test_product_of_two_element_logic(prod11):
@@ -94,6 +107,55 @@ def test_meet_embed_bounds(prod22):
     factor, ambient = prod22.factor, prod22.ambient
     assert meet_embed(prod22, factor.one, factor.one) == ambient.one
     assert meet_embed(prod22, factor.zero, factor.one) == ambient.zero
+
+
+def _identity_composite(desc):
+    logic = validate_logic(desc)
+    return make_composite(logic, logic, range(logic.n), range(logic.n))
+
+
+LOOP4 = greechie([("a", "b", "c"), ("c", "d", "e"), ("e", "f", "g"),
+                  ("g", "h", "a")])
+
+
+@pytest.mark.parametrize("make, missing", [
+    (lambda: load_fixture("prod22").composite(), False),
+    (lambda: load_fixture("prod33").composite(), False),
+    (lambda: _identity_composite(mo_logic(2)), False),
+    # 18 elements, not a lattice: some embedded meets do not exist
+    (lambda: _identity_composite(LOOP4), True),
+], ids=["prod22", "prod33", "MO2-identity", "loop-of-order-4-identity"])
+def test_embedded_meets_match_inf_or_none(make, missing):
+    comp = make()
+    table = embedded_meets(comp)
+    n = comp.factor.n
+    want = [[comp.ambient.inf_or_none(comp.pi1.map[e], comp.pi2.map[f])
+             for f in range(n)] for e in range(n)]
+    assert table.tolist() == [[-1 if m is None else m for m in row]
+                              for row in want]
+    assert (table < 0).any() == missing
+    for e, f in np.argwhere(table < 0):
+        with pytest.raises(NoInfimum):
+            meet_embed(comp, e, f)
+
+
+def test_embedded_meets_built_once_per_composite(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return meets(*args)
+
+    monkeypatch.setattr(composite, "meets", counted)
+    comp = boolean_product(validate_logic(boolean_algebra(2)))
+    factor = comp.factor
+    x, y = factor.atoms
+    assert check_condition_J(comp).holds
+    CloneProblem(comp, [x, y], x)
+    CloneProblem(comp, [y], y)
+    check_lemma2(comp, x, x, y, y)
+    check_lemma3(comp, x, y, atomic_state(comp.ambient, meet_embed(comp, x, y)))
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------

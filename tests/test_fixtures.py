@@ -70,13 +70,14 @@ def test_hilbert_demo_vectors():
 
 
 @pytest.mark.parametrize("name", [
-    "boolean1", "boolean2", "boolean3", "boolean4", "MO1", "MO2", "MO3",
-])
+    name for name in fixture_names()
+    if load_fixture(name).kind in ("logic", "composite")])
 def test_deep_verification(name):
     derived = verify_fixture(name, deep=True)
     ann = load_fixture(name).annotations
-    for key, value in derived.items():
-        assert ann[key] == value
+    # every annotation is re-derived, except the deferred ones
+    wanted = set(ann) - set(ann.get("deferred", ())) - {"deferred"}
+    assert derived == {key: ann[key] for key in wanted}
 
 
 def test_catalog_self_consistency():

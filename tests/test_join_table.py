@@ -1,21 +1,25 @@
 """The join table against the pair-by-pair oracles: batched joins and
 meets, the per-pair queries, the additivity rows built from the table,
-and the first axiom (C)-(E) violation that validation reports."""
+the first axiom (C)-(E) violation that validation reports, and the
+Boolean-lattice test on induced orders."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from oracles import additivity_rows, check_axioms_cde, find_inf, find_sup
 from qlogic import core
-from qlogic.builders import greechie, hexagon_o6
+from qlogic.builders import boolean_algebra, greechie, hexagon_o6, mo_logic
+from qlogic.compat import closure, is_boolean_subalgebra
 from qlogic.core import (
     FiniteLogic,
     LogicDescription,
     join_table,
     joins,
     meets,
+    is_boolean_lattice,
     transitive_closure,
     validate_logic,
 )
@@ -218,3 +222,44 @@ def _swap_complements(desc, x, y):
 def test_first_violation_matches_oracle(desc, axiom):
     got = _assert_same_first_violation(desc)
     assert got is not None and got[0] == axiom
+
+
+LOOP4 = greechie([("a", "b", "c"), ("c", "d", "e"), ("e", "f", "g"),
+                  ("g", "h", "a")])
+
+
+def _induced(logic, elems):
+    elems = sorted(elems)
+    return logic.leq[np.ix_(elems, elems)]
+
+
+@pytest.mark.parametrize("desc, boolean", [
+    (mo_logic(2), False),  # modular, not distributive
+    (LOOP4, False),        # 18 elements, not a lattice
+    *[(boolean_algebra(k), True) for k in range(1, 5)],
+], ids=["MO2", "loop-of-order-4", "B1", "B2", "B3", "B4"])
+def test_is_boolean_lattice_matches_oracle(desc, boolean):
+    logic = validate_logic(desc)
+    assert is_boolean_lattice(logic.leq) == boolean
+    assert oracles.is_boolean_lattice(logic.leq) == boolean
+    # the whole logic is closed, so the subalgebra test agrees too
+    assert is_boolean_subalgebra(logic, range(logic.n)) == boolean
+
+
+@given(_pasting_blocks(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_is_boolean_lattice_matches_oracle_on_pastings(blocks, data):
+    desc = _description(blocks)
+    if desc is None:
+        return
+    try:
+        logic = validate_logic(desc)
+    except QLogicError:
+        return
+    elements = st.integers(0, logic.n - 1)
+    subset = data.draw(st.sets(elements, min_size=1, max_size=12))
+    leq = _induced(logic, subset)
+    assert is_boolean_lattice(leq) == oracles.is_boolean_lattice(leq)
+    closed = closure(logic, data.draw(st.sets(elements, max_size=3)))
+    assert (is_boolean_subalgebra(logic, closed)
+            == oracles.is_boolean_lattice(_induced(logic, closed)))
