@@ -16,6 +16,7 @@ reference this criterion is checked against.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .composite import (
     CompositeLogic,
@@ -156,13 +157,15 @@ def clone_search(problem: CloneProblem,
     ambient = comp.ambient
     ext = _atom_extender(ambient)
     pos = {a: i for i, a in enumerate(ambient.atoms)}
-    needed = [(pos[problem.copied_atom[e]], pos[problem.input_atom[e]])
-              for e in problem.C]
+    sources = [pos[problem.copied_atom[e]] for e in problem.C]
+    targets = tuple(pos[problem.input_atom[e]] for e in problem.C)
+    images = itemgetter(*sources)
+    if len(sources) == 1:
+        targets = targets[0]  # a one-index itemgetter returns a scalar
     cloner = None
     scanned = 0
-    for sigma in _iter_atom_perms(ambient, budget):
-        scanned += 1
-        if any(sigma[i] != j for i, j in needed):
+    for scanned, sigma in enumerate(_iter_atom_perms(ambient, budget), 1):
+        if images(sigma) != targets:
             continue
         cloner = ext.extend(sigma)
         if cloner is not None:

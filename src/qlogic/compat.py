@@ -60,19 +60,20 @@ def is_compatible_subset(logic: FiniteLogic, members,
 
     Raises ``SearchBudgetExceeded`` when the backtracking examines more
     candidate closed sets than the budget allows; that outcome means
-    "unknown", never "incompatible".
+    "unknown", never "incompatible".  The search starts from the closure
+    of the members, so verdicts are stored by that closure: member sets
+    with the same closure share one entry.
     """
-    return _compatibility_search(logic, frozenset(members), budget)
+    if logic.is_boolean:
+        return CompatibilityVerdict(True, frozenset(range(logic.n)))
+    return _compatibility_search(logic, closure(logic, members), budget)
 
 
 @derived
-def _compatibility_search(logic: FiniteLogic, members: frozenset,
+def _compatibility_search(logic: FiniteLogic, base: frozenset,
                           budget) -> CompatibilityVerdict:
-    if logic.is_boolean:
-        return CompatibilityVerdict(True, frozenset(range(logic.n)))
     seen = set()
     nodes = 0
-    base = closure(logic, members)
     stack = [(base, 0)]
     seen.add(base)
     while stack:

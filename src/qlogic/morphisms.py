@@ -3,15 +3,17 @@
 A morphism preserves order, orthocomplement and the unit; its dual pulls
 states on the target back to states on the source.  Every validated
 logic is atomistic, so an automorphism is determined by where it sends
-the atoms: the search backtracks over atom images (pruned by the
-orthogonality pattern) and extends each complete atom bijection through
-the atom masks.
+the atoms.  The search is an iterative depth-first walk over atom images
+in lexicographic order; an image is admitted by one bitmask test of its
+orthogonal atoms against the images already used.  The complete atom
+bijections are extended through the atom masks a block at a time, in one
+numpy pass per block, so enumeration costs roughly its output.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import islice, permutations
 
 import numpy as np
 
@@ -126,6 +128,11 @@ def dual_state(T: Morphism, rho: State) -> State:
 # automorphism enumeration
 # ---------------------------------------------------------------------------
 
+# element entries (rows x logic.n) per numpy pass of ``extend_many``:
+# bounds its (rows, n) temporaries whatever the size of the logic
+_EXTEND_ENTRIES = 1 << 15
+
+
 class _AtomExtender:
     """Extends atom-position permutations to full element maps via masks.
 
@@ -152,25 +159,35 @@ class _AtomExtender:
 
     def extend(self, sigma) -> Automorphism | None:
         """sigma[i] = new position of atom i; None if no automorphism."""
-        logic = self.logic
-        weights = 1 << np.array(sigma, dtype=self.dtype)
-        new_masks = self.bits @ weights
+        return self.extend_many([sigma])[0]
+
+    def extend_many(self, sigmas) -> list:
+        """``extend`` of every permutation in one numpy pass: an
+        ``Automorphism`` or None per row."""
+        logic, n = self.logic, self.logic.n
+        S = np.array(sigmas, dtype=self.dtype).reshape(len(sigmas), self.k)
+        new_masks = (1 << S) @ self.bits.T
         idx = np.searchsorted(self.sorted_masks, new_masks)
+        ok = np.ones(len(S), dtype=bool)
         if not self.trivial:
-            if idx.max() >= logic.n or not np.array_equal(
-                    self.sorted_masks[idx], new_masks):
-                return None
+            inside = idx < n
+            idx[~inside] = 0
+            ok = inside.all(axis=1) & (
+                self.sorted_masks[idx] == new_masks).all(axis=1)
         tmap = self.sort_order[idx]
         if not self.trivial:
             # order preservation is mask inclusion, which any bit
             # permutation respects; equivariance of ' still needs a check
-            if not np.array_equal(tmap[self.ortho], self.ortho[tmap]):
-                return None
-        inverse = np.empty(logic.n, dtype=np.int64)
-        inverse[tmap] = np.arange(logic.n)
-        return Automorphism(logic, logic,
-                            tuple(int(x) for x in tmap),
-                            tuple(int(x) for x in inverse))
+            ok &= (tmap[:, self.ortho] == self.ortho[tmap]).all(axis=1)
+        rows = np.flatnonzero(ok)
+        tmap = tmap[rows]
+        inverse = np.empty_like(tmap)
+        np.put_along_axis(inverse, tmap,
+                          np.broadcast_to(np.arange(n), tmap.shape), axis=1)
+        out = [None] * len(S)
+        for r, m, inv in zip(rows.tolist(), tmap.tolist(), inverse.tolist()):
+            out[r] = Automorphism(logic, logic, tuple(m), tuple(inv))
+        return out
 
 
 @derived
@@ -180,10 +197,16 @@ def _atom_extender(logic: FiniteLogic) -> _AtomExtender:
 
 def _iter_atom_perms(logic: FiniteLogic, budget):
     """Atom-position permutations respecting the orthogonality pattern,
-    in lexicographic order."""
+    in lexicographic order.
+
+    Depth first over the atoms in index order.  Atom i may take a free
+    image exactly when the used images orthogonal to it are the images of
+    the atoms before i that are orthogonal to i: one mask test per
+    candidate, against a mask built once per node.  Nodes are counted in
+    preorder, as each image is assigned, and the budget bounds them.
+    """
     atoms = logic.atoms
     k = len(atoms)
-    orth = [[logic.orthogonal(a, b) for b in atoms] for a in atoms]
     if logic.is_powerset:
         # all atoms are mutually orthogonal: no pruning is possible
         count = 0
@@ -196,42 +219,64 @@ def _iter_atom_perms(logic: FiniteLogic, budget):
             yield perm
         return
 
-    sigma = [-1] * k
-    used = [False] * k
+    omask = [sum(1 << j for j, b in enumerate(atoms) if logic.orthogonal(a, b))
+             for a in atoms]
+    earlier = [[j for j in range(i) if omask[i] >> j & 1] for i in range(k)]
+    images = range(k)
+    sigma = [0] * k
+    used = [0] * k        # used[i]: the images of atoms 0 .. i-1, as a mask
+    todo = [None] * k     # todo[i]: the untried candidate images of atom i
+    todo[0] = iter(images)  # nothing is used yet: atom 0 takes any image
     nodes = 0
-
-    def backtrack(i):
-        nonlocal nodes
-        if i == k:
+    i = 0
+    while i >= 0:
+        img = next(todo[i], None)
+        if img is None:
+            i -= 1
+            continue
+        nodes += 1
+        if nodes > budget:
+            raise SearchBudgetExceeded(
+                f"automorphism search visited {nodes} nodes"
+            )
+        sigma[i] = img
+        if i + 1 == k:
             yield tuple(sigma)
-            return
-        for img in range(k):
-            if used[img]:
-                continue
-            ok = all(orth[i][j] == orth[img][sigma[j]] for j in range(i))
-            if not ok:
-                continue
-            nodes += 1
-            if nodes > budget:
-                raise SearchBudgetExceeded(
-                    f"automorphism search visited {nodes} nodes"
-                )
-            sigma[i] = img
-            used[img] = True
-            yield from backtrack(i + 1)
-            used[img] = False
-            sigma[i] = -1
-
-    yield from backtrack(0)
+            continue
+        i += 1
+        u = used[i] = used[i - 1] | 1 << img
+        want = 0
+        for j in earlier[i]:
+            want |= 1 << sigma[j]
+        todo[i] = iter([c for c in images
+                        if not u >> c & 1 and omask[c] & u == want])
 
 
 def iter_automorphisms(logic: FiniteLogic, budget=DEFAULT_SEARCH_BUDGET):
-    """Lazily enumerate the automorphism group in deterministic order."""
+    """Lazily enumerate the automorphism group in deterministic order.
+
+    Atom permutations are extended in blocks of about ``_EXTEND_ENTRIES``
+    element entries.  When the budget runs out inside a block, the
+    automorphisms of the permutations already drawn are yielded first,
+    so a lazy consumer sees every automorphism before the error.
+    """
     ext = _atom_extender(logic)
-    for sigma in _iter_atom_perms(logic, budget):
-        auto = ext.extend(sigma)
-        if auto is not None:
-            yield auto
+    perms = _iter_atom_perms(logic, budget)
+    rows = max(1, _EXTEND_ENTRIES // logic.n)
+    while True:
+        block, exhausted = [], None
+        try:
+            for sigma in islice(perms, rows):
+                block.append(sigma)
+        except SearchBudgetExceeded as exc:
+            exhausted = exc
+        for auto in ext.extend_many(block):
+            if auto is not None:
+                yield auto
+        if exhausted is not None:
+            raise exhausted
+        if len(block) < rows:
+            return
 
 
 def automorphisms(logic: FiniteLogic, budget=DEFAULT_SEARCH_BUDGET):

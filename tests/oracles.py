@@ -2,6 +2,7 @@
 against.  Nothing under ``src/`` calls them."""
 
 from fractions import Fraction
+from itertools import permutations
 
 import numpy as np
 
@@ -447,3 +448,103 @@ def automorphisms_generic(logic, budget=10 ** 6):
             mapping[e] = -1
 
     yield from backtrack(0)
+
+
+def atom_perms_recursive(logic, budget):
+    """Atom-position permutations that respect orthogonality, by a
+    recursive backtracker that tests each candidate image pairwise
+    against every atom placed before: the reference for the order, the
+    node count and the budget message of ``morphisms._iter_atom_perms``.
+    The generator returns the number of nodes it visited."""
+    atoms = logic.atoms
+    k = len(atoms)
+    orth = [[logic.orthogonal(a, b) for b in atoms] for a in atoms]
+    if logic.is_powerset:
+        count = 0
+        for perm in permutations(range(k)):
+            count += 1
+            if count > budget:
+                raise SearchBudgetExceeded(
+                    f"automorphism search visited {count} candidates"
+                )
+            yield perm
+        return count
+
+    sigma = [-1] * k
+    used = [False] * k
+    nodes = 0
+
+    def backtrack(i):
+        nonlocal nodes
+        if i == k:
+            yield tuple(sigma)
+            return
+        for img in range(k):
+            if used[img]:
+                continue
+            ok = all(orth[i][j] == orth[img][sigma[j]] for j in range(i))
+            if not ok:
+                continue
+            nodes += 1
+            if nodes > budget:
+                raise SearchBudgetExceeded(
+                    f"automorphism search visited {nodes} nodes"
+                )
+            sigma[i] = img
+            used[img] = True
+            yield from backtrack(i + 1)
+            used[img] = False
+            sigma[i] = -1
+
+    yield from backtrack(0)
+    return nodes
+
+
+def extend_one(ext, sigma):
+    """One permutation through an ``_AtomExtender``'s masks, as a lookup
+    per element: the reference for ``_AtomExtender.extend_many``."""
+    logic = ext.logic
+    weights = 1 << np.array(sigma, dtype=ext.dtype)
+    new_masks = ext.bits @ weights
+    idx = np.searchsorted(ext.sorted_masks, new_masks)
+    if not ext.trivial:
+        if idx.max() >= logic.n or not np.array_equal(
+                ext.sorted_masks[idx], new_masks):
+            return None
+    tmap = ext.sort_order[idx]
+    if not ext.trivial:
+        if not np.array_equal(tmap[ext.ortho], ext.ortho[tmap]):
+            return None
+    inverse = np.empty(logic.n, dtype=np.int64)
+    inverse[tmap] = np.arange(logic.n)
+    return Automorphism(logic, logic,
+                        tuple(int(x) for x in tmap),
+                        tuple(int(x) for x in inverse))
+
+
+def automorphisms_by_oracle(logic, ext, budget):
+    """``iter_automorphisms`` one permutation at a time, through the two
+    references above."""
+    for sigma in atom_perms_recursive(logic, budget):
+        auto = extend_one(ext, sigma)
+        if auto is not None:
+            yield auto
+
+
+def clone_scan(problem, ext, budget):
+    """(permutations scanned, first cloner or None) by testing each
+    required atom image of each permutation in turn: the reference for
+    the scan in ``cloning.clone_search``."""
+    ambient = problem.composite.ambient
+    pos = {a: i for i, a in enumerate(ambient.atoms)}
+    needed = [(pos[problem.copied_atom[e]], pos[problem.input_atom[e]])
+              for e in problem.C]
+    scanned = 0
+    for sigma in atom_perms_recursive(ambient, budget):
+        scanned += 1
+        if any(sigma[i] != j for i, j in needed):
+            continue
+        cloner = extend_one(ext, sigma)
+        if cloner is not None:
+            return scanned, cloner
+    return scanned, None

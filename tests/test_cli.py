@@ -188,6 +188,21 @@ def test_clone_search_contract(fixture_files, capsys):
     assert set(payload["pairwise"].values()) <= {"0/1", "1/1"}
 
 
+def test_clone_search_budget_below_scanned_is_exit_3(fixture_files, capsys):
+    for C in ("x", "x,y"):
+        argv = ["clone-search", "--composite", fixture_files["prod22"],
+                "--C", C, "--f", "y", "--format", "json"]
+        code, out = run(capsys, *argv)
+        assert code == 0
+        scanned = json.loads(out)["candidates_scanned"]
+        assert scanned > 1
+        code, _ = run(capsys, *argv, "--budget", str(scanned))
+        assert code == 0
+        code, out = run(capsys, *argv, "--budget", str(scanned - 1))
+        assert code == 3
+        assert json.loads(out)["error"] == "budget_exceeded"
+
+
 def test_certify_theorem1(fixture_files, capsys):
     code, out = run(capsys, "certify-theorem1",
                     "--composite", fixture_files["prod22"],

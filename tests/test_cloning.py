@@ -1,10 +1,16 @@
 """Cloning transformations, the explicit classical cloner, the search."""
 
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import definition_on_atomic_states, definition_on_vertices
+from oracles import (
+    clone_scan,
+    definition_on_atomic_states,
+    definition_on_vertices,
+)
 from qlogic.builders import boolean_algebra, mo_logic
 from qlogic.cloning import (
     CloneProblem,
@@ -232,6 +238,26 @@ def test_search_matches_oracle_for_every_problem(prod22):
             if oracle:
                 assert report.cloner.map == oracle[0]
             assert report.theorem_consistent
+
+
+def _all_problems(comp):
+    atoms = comp.factor.atoms
+    return [CloneProblem(comp, C, f)
+            for size in range(1, len(atoms) + 1)
+            for C in combinations(atoms, size) for f in atoms]
+
+
+def test_search_matches_oracle_scan_on_every_product_problem(prod22, prod33):
+    # 6 problems on prod22 and 21 on prod33; |C| = 1 compares scalars
+    problems = _all_problems(prod22) + _all_problems(prod33)
+    assert len(problems) == 27
+    for problem in problems:
+        report = clone_search(problem)
+        scanned, cloner = clone_scan(
+            problem, _atom_extender(problem.composite.ambient), 10 ** 9)
+        assert report.scanned == scanned
+        assert report.cloner is not None
+        assert report.cloner.map == cloner.map
 
 
 def test_clone_search_budget(prod22):

@@ -7,6 +7,7 @@ import pytest
 from oracles import boolean_meet
 from qlogic.builders import mo_logic
 from qlogic.compat import (
+    _compatibility_search,
     closure,
     is_boolean_subalgebra,
     is_compatible_subset,
@@ -141,3 +142,15 @@ def test_budget_exceeded_is_distinct_from_incompatible(mo2):
     # the stored verdict does not answer a call with a smaller budget
     with pytest.raises(SearchBudgetExceeded):
         is_compatible_subset(mo2, members, budget=0)
+
+
+def test_member_sets_with_one_closure_share_one_verdict():
+    logic = validate_logic(mo_logic(3))
+    a, a_ = logic.index("a"), logic.index("a'")
+    assert closure(logic, {a}) == closure(logic, {a_, logic.one})
+    first = is_compatible_subset(logic, {a})
+    second = is_compatible_subset(logic, {a_, logic.one})
+    entries = [key for key in logic._cache
+               if key[0] is _compatibility_search.__wrapped__]
+    assert len(entries) == 1
+    assert first.compatible and first.witness == second.witness

@@ -1,14 +1,21 @@
 """Morphism validation, dual states, automorphism groups, Lemma 1."""
 
+import random
 from fractions import Fraction as F
-from itertools import permutations
+from itertools import islice, permutations
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import automorphisms_generic, order_is_mask_inclusion
-from qlogic.builders import greechie
+from oracles import (
+    atom_perms_recursive,
+    automorphisms_by_oracle,
+    automorphisms_generic,
+    extend_one,
+    order_is_mask_inclusion,
+)
+from qlogic.builders import boolean_algebra, greechie, mo_logic
 from qlogic.core import validate_logic
 from qlogic.errors import (
     NotInjective,
@@ -16,11 +23,13 @@ from qlogic.errors import (
     OrthoNotPreserved,
     PreconditionFailed,
     QLogicError,
+    SearchBudgetExceeded,
     UnitNotPreserved,
 )
 from qlogic.fixtures import fixture_names, load_fixture
 from qlogic.morphisms import (
     _atom_extender,
+    _iter_atom_perms,
     automorphisms,
     check_lemma1a,
     check_lemma1b,
@@ -189,6 +198,82 @@ def _pastings(draw):
 def test_mask_route_matches_generic_backtracking_on_pastings(logic):
     assume(logic is not None)
     _assert_mask_route_is_complete(logic)
+
+
+def _drain(gen):
+    """(items yielded, budget message or None, the generator's return
+    value) of running a generator until it stops or exceeds its budget."""
+    items = []
+    try:
+        while True:
+            items.append(next(gen))
+    except StopIteration as stop:
+        return items, None, stop.value
+    except SearchBudgetExceeded as exc:
+        return items, str(exc), None
+
+
+def _assert_search_and_extension_match_oracles(logic, data):
+    perms, message, nodes = _drain(atom_perms_recursive(logic, 10 ** 9))
+    assert message is None
+    assert list(_iter_atom_perms(logic, 10 ** 9)) == perms
+    for budget in (0, 1, nodes - 1, nodes):
+        got = _drain(_iter_atom_perms(logic, budget))[:2]
+        assert got == _drain(atom_perms_recursive(logic, budget))[:2]
+        assert (got[1] is None) == (budget == nodes)
+    # random permutations mostly break orthogonality: None rows
+    ext = _atom_extender(logic)
+    k = len(logic.atoms)
+    rows = data.draw(st.lists(st.permutations(range(k)).map(tuple),
+                              min_size=1, max_size=12)) + perms[:3]
+    assert ext.extend_many(rows) == [extend_one(ext, r) for r in rows]
+
+
+_NAMED_LOGICS = {f"MO{n}": mo_logic(n) for n in (2, 3, 4)}
+_NAMED_LOGICS.update({f"B{k}": boolean_algebra(k) for k in range(1, 6)})
+
+
+@pytest.mark.parametrize("name", sorted(_NAMED_LOGICS))
+@given(data=st.data())
+@settings(max_examples=5, deadline=None)
+def test_atom_search_and_block_extension_match_oracles(name, data):
+    _assert_search_and_extension_match_oracles(
+        validate_logic(_NAMED_LOGICS[name]), data)
+
+
+@given(_pastings(), st.data())
+@settings(max_examples=40, deadline=None)
+def test_atom_search_and_block_extension_match_oracles_on_pastings(logic,
+                                                                   data):
+    assume(logic is not None)
+    _assert_search_and_extension_match_oracles(logic, data)
+
+
+def test_block_extension_beyond_62_atoms():
+    # object-dtype masks: the first automorphisms the search finds, and
+    # random permutations
+    logic = load_fixture("stateless").logic()
+    ext = _atom_extender(logic)
+    k = len(logic.atoms)
+    rng = random.Random(7)
+    rows = list(islice(_iter_atom_perms(logic, 10 ** 6), 3))
+    rows += [tuple(rng.sample(range(k), k)) for _ in range(3)]
+    got = ext.extend_many(rows)
+    assert got == [extend_one(ext, r) for r in rows]
+    assert all(a is not None for a in got[:3])
+    assert all(a is None for a in got[3:])
+
+
+@pytest.mark.parametrize("budget", [0, 1, 40, 200, 1000])
+def test_budget_exhaustion_yields_the_same_prefix(budget):
+    # MO4's search visits more than 1000 nodes, so every budget here runs
+    # out inside the first block of permutations
+    logic = validate_logic(mo_logic(4))
+    got = _drain(iter_automorphisms(logic, budget))
+    want = _drain(automorphisms_by_oracle(logic, _atom_extender(logic),
+                                          budget))
+    assert got[1] is not None
+    assert got[:2] == want[:2]
 
 
 def test_extension_accepts_exactly_the_orthogonality_preserving_maps(mo2):
