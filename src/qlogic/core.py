@@ -181,14 +181,12 @@ def _least_bounds(up: np.ndarray, E, F) -> np.ndarray:
     E = np.asarray(E, dtype=np.intp)
     F = np.asarray(F, dtype=np.intp)
     out = np.full(E.size, -1, dtype=np.intp)
-    # -1 until counted, so a pair without bounds (0 of them) never matches
-    above = np.full(up.shape[0], -1, dtype=np.int32)
+    # at least 1 (x is above itself), so a pair without bounds never
+    # matches; int32 halves the (pairs, n) temporary of np.where
+    above = np.count_nonzero(up, axis=1).astype(np.int32)
     for start in range(0, E.size, _PAIR_CHUNK):
         chunk = slice(start, start + _PAIR_CHUNK)
         bounds = up[E[chunk]] & up[F[chunk]]
-        cols = np.flatnonzero(bounds.any(axis=0))
-        # what lies above a bound is a bound, so counting within cols is exact
-        above[cols] = up[cols[:, None], cols].sum(axis=1)
         best = np.where(bounds, above, -1).argmax(axis=1)
         least = above[best] == bounds.sum(axis=1)
         out[chunk] = np.where(least, best, -1)

@@ -13,6 +13,18 @@ value is ``row[-1] / row[basis[i]]``.  Signs and ratio comparisons, and
 with them every pivot choice, are those of the rational tableau.
 ``fractions.Fraction`` appears only at the boundary: converting the
 input and building results.  There is no floating point in this module.
+
+A tableau of at least ``_ARRAY_CELLS`` cells is a 2-D numpy integer
+array, and a pivot on it is one rank-1 update of the rows it changes,
+``T <- p T - outer(T[:, col], T[r])``, each row then divided by the gcd
+of its entries.  Smaller tableaux are lists of Python-int rows updated
+one row at a time, which is faster at that size.  The array is int64
+while every entry is below 2^31 in magnitude, which keeps ``p a - f v``
+below 2^63; the bound is checked exactly after every update, and the
+first entry beyond it moves the array to ``dtype=object`` (Python ints)
+for the rest of the solve, so no entry wraps around.  Both kernels give
+the same integer rows, and Bland's rule and the ratio test read them as
+Python ints, so the size rule changes no pivot.
 """
 
 from __future__ import annotations
@@ -21,16 +33,33 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd, lcm
+from operator import attrgetter, mul
+
+import numpy as np
 
 from .errors import VertexBudgetExceeded
 
 ZERO = Fraction(0)
 
 
+# Tableaux of at least this many cells are eliminated as numpy arrays;
+# below it numpy's per-call overhead outweighs the vectorized step.
+_ARRAY_CELLS = 256
+# int64 storage holds entries below 2^31 in magnitude, so that p a - f v
+# over four of them stays below 2^63
+_INT64_BOUND = 1 << 31
+
+_denominator = attrgetter("denominator")
+
+
 def _integer_row(values):
-    """Rationals scaled by the lcm d of their denominators: (ints, d)."""
-    values = [Fraction(v) for v in values]
-    d = lcm(*(v.denominator for v in values))
+    """Rationals scaled by the lcm d of their denominators: (ints, d).
+    Python ints and Fractions are read as they are."""
+    values = [v if type(v) is int or isinstance(v, Fraction) else Fraction(v)
+              for v in values]
+    d = lcm(*map(_denominator, values))
+    if d == 1:
+        return list(map(int, values)), 1
     return [v.numerator * (d // v.denominator) for v in values], d
 
 
@@ -39,21 +68,109 @@ def _primitive(row):
     return [v // g for v in row] if g > 1 else row
 
 
-def _clear_column(rows, r, col):
-    """Clear column col from every row but r, fraction-free:
-    row_i <- p row_i - row_i[col] row_r with p = row_r[col] > 0 (row r
-    is negated first if needed).  Rows are replaced, never edited in
-    place, so row lists may be shared between tableaux."""
-    pivot_row = rows[r]
-    p = pivot_row[col]
-    if p < 0:
-        pivot_row = rows[r] = [-v for v in pivot_row]
-        p = -p
-    for i, row in enumerate(rows):
-        f = row[col]
-        if f and i != r:
-            rows[i] = _primitive([p * a - f * v
-                                  for a, v in zip(row, pivot_row)])
+class _RowTableau:
+    """A tableau as a list of Python-int rows, for small systems."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows):
+        self.rows = rows
+
+    def entering(self, ncols):
+        """Bland's rule: the first column with a negative reduced cost."""
+        obj = self.rows[-1]
+        return next((j for j in range(ncols) if obj[j] < 0), None)
+
+    def column(self, j):
+        return [row[j] for row in self.rows]
+
+    def row(self, i):
+        return self.rows[i]
+
+    def tolist(self):
+        return self.rows
+
+    def clear_column(self, r, col):
+        """Clear column col from every row but r, fraction-free:
+        row_i <- p row_i - row_i[col] row_r with p = row_r[col] > 0
+        (row r is negated first if needed), then row_i is divided by the
+        gcd of its entries.  Rows are replaced, never edited in place,
+        so row lists may be shared between tableaux."""
+        rows = self.rows
+        pivot_row = rows[r]
+        p = pivot_row[col]
+        if p < 0:
+            pivot_row = rows[r] = [-v for v in pivot_row]
+            p = -p
+        for i, row in enumerate(rows):
+            f = row[col]
+            if f and i != r:
+                rows[i] = _primitive([p * a - f * v
+                                      for a, v in zip(row, pivot_row)])
+
+
+class _ArrayTableau:
+    """The same tableau as a 2-D numpy integer array, for large systems.
+
+    Storage is int64 while every entry is below 2^31 in magnitude and
+    Python ints (``dtype=object``) from the first pivot that leaves an
+    entry beyond it; the update rule is the same for both.
+    """
+
+    __slots__ = ("a",)
+
+    def __init__(self, rows):
+        try:
+            a = np.array(rows, dtype=np.int64)
+        except OverflowError:
+            a = None
+        if a is None or _beyond_int64_bound(a):
+            a = np.array(rows, dtype=object)
+        self.a = a
+
+    def entering(self, ncols):
+        neg = np.flatnonzero(self.a[-1, :ncols] < 0)
+        return int(neg[0]) if neg.size else None
+
+    def column(self, j):
+        return self.a[:, j].tolist()
+
+    def row(self, i):
+        return self.a[i].tolist()
+
+    def tolist(self):
+        return self.a.tolist()
+
+    def clear_column(self, r, col):
+        """``_RowTableau.clear_column`` as one rank-1 update of the rows
+        with a nonzero entry in col."""
+        a = self.a
+        if a[r, col] < 0:
+            a[r] = -a[r]
+        pivot_row = a[r]
+        rows = np.flatnonzero(a[:, col])
+        rows = rows[rows != r]
+        if not rows.size:
+            return
+        block = a[r, col] * a[rows] - a[rows, col][:, None] * pivot_row
+        g = np.gcd.reduce(block, axis=1)
+        common = g > 1
+        if common.any():
+            block[common] //= g[common, None]
+        if a.dtype != object and _beyond_int64_bound(block):
+            a = self.a = a.astype(object)
+        a[rows] = block
+
+
+def _beyond_int64_bound(a):
+    return a.max() >= _INT64_BOUND or a.min() <= -_INT64_BOUND
+
+
+def _tableau(rows):
+    """Rows of Python ints as the tableau kept for their size."""
+    if len(rows) * len(rows[0]) >= _ARRAY_CELLS:
+        return _ArrayTableau(rows)
+    return _RowTableau(rows)
 
 
 @dataclass(frozen=True)
@@ -68,7 +185,7 @@ class LPResult:
 
 
 def _pivot(T, basis, row, col):
-    _clear_column(T, row, col)
+    T.clear_column(row, col)
     basis[row] = col
 
 
@@ -76,25 +193,25 @@ def _simplex(T, basis, ncols):
     """Minimize with Bland's rule. T = m constraint rows + objective row.
 
     The objective row holds the reduced costs up to a positive scale;
-    T[-1][-1] is zero exactly when the current objective value is.
-    Returns "optimal" or "unbounded".
+    its right-hand side is zero exactly when the current objective value
+    is.  Returns "optimal" or "unbounded".
     """
-    m = len(T) - 1
+    m = len(basis)
     while True:
-        obj = T[-1]
-        col = next((j for j in range(ncols) if obj[j] < 0), None)
+        col = T.entering(ncols)
         if col is None:
             return "optimal"
+        column, rhs = T.column(col), T.column(-1)
         best = None
         for i in range(m):
-            a = T[i][col]
+            a = column[i]
             if a > 0:
                 if best is None:
                     best, best_a = i, a
                     continue
-                # ratio T[i][-1] / a against the best, cross-multiplied
-                lhs, rhs = T[i][-1] * best_a, T[best][-1] * a
-                if lhs < rhs or (lhs == rhs and basis[i] < basis[best]):
+                # ratio rhs[i] / a against the best, cross-multiplied
+                lhs, other = rhs[i] * best_a, rhs[best] * a
+                if lhs < other or (lhs == other and basis[i] < basis[best]):
                     best, best_a = i, a
         if best is None:
             return "unbounded"
@@ -128,16 +245,16 @@ class Polyhedron:
             scales.append(d)
         # lcm(d) * (-(sum of the rational rows) + artificials)
         L = lcm(*scales)
-        obj = [0] * (n + m + 1)
-        for row, d in zip(T, scales):
-            w = L // d
-            obj = [o - w * v for o, v in zip(obj, row)]
+        weights = [L // d for d in scales]
+        # (with no rows, the objective row is its right-hand side 0)
+        obj = [-sum(map(mul, weights, column)) for column in zip(*T)] or [0]
         for i in range(m):
             obj[n + i] += L
         T.append(_primitive(obj))
+        T = _tableau(T)
         basis = [n + i for i in range(m)]
         status = _simplex(T, basis, n + m)
-        self.feasible = status == "optimal" and T[-1][-1] == 0
+        self.feasible = status == "optimal" and T.column(-1)[-1] == 0
         self.rows, self.basis = [], []
         if not self.feasible:
             return
@@ -146,11 +263,13 @@ class Polyhedron:
         drop = []
         for i in range(m):
             if basis[i] >= n:
-                col = next((j for j in range(n) if T[i][j] != 0), None)
+                row = T.row(i)
+                col = next((j for j in range(n) if row[j] != 0), None)
                 if col is None:
                     drop.append(i)
                 else:
                     _pivot(T, basis, i, col)
+        T = T.tolist()
         for i in sorted(drop, reverse=True):
             del T[i]
             del basis[i]
@@ -172,10 +291,10 @@ class Polyhedron:
             if f:
                 p = row[bv]
                 obj = [p * a - f * v for a, v in zip(obj, row)]
-        rows = self.rows + [_primitive(obj)]
-        status = _simplex(rows, basis, n)
-        if status == "unbounded":
+        T = _tableau(self.rows + [_primitive(obj)])
+        if _simplex(T, basis, n) == "unbounded":
             return LPResult("unbounded")
+        rows = T.tolist()
         x = [ZERO] * n
         for row, bv in zip(rows, basis):
             x[bv] = Fraction(row[-1], row[bv])
@@ -200,7 +319,7 @@ def _solve_square(cols_matrix, rhs):
         if pivot is None:
             return None
         mat[col], mat[pivot] = mat[pivot], mat[col]
-        _clear_column(mat, col, col)
+        _RowTableau(mat).clear_column(col, col)
     return [Fraction(mat[i][n], mat[i][i]) for i in range(n)]
 
 

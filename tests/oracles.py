@@ -102,13 +102,14 @@ def check_axioms_cde(logic):
 
 def _pivot(T, basis, row, col):
     """One Gauss-Jordan step on a ``Fraction`` tableau: scale row to a
-    unit pivot in col, then clear col from every other row."""
+    unit pivot in col, then clear col from every other row (zero
+    entries of the pivot row are skipped: the tableaux are sparse)."""
     inv = ONE / T[row][col]
-    T[row] = [v * inv for v in T[row]]
+    T[row] = [v * inv if v else v for v in T[row]]
     for i in range(len(T)):
         if i != row and T[i][col] != 0:
             factor = T[i][col]
-            T[i] = [a - factor * b for a, b in zip(T[i], T[row])]
+            T[i] = [a - factor * b if b else a for a, b in zip(T[i], T[row])]
     basis[row] = col
 
 

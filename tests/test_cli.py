@@ -16,7 +16,8 @@ from qlogic.states import State, parse_rational
 def fixture_files(tmp_path_factory):
     root = tmp_path_factory.mktemp("fixtures")
     paths = {}
-    for name in ("boolean2", "boolean3", "MO2", "O6", "prod22", "stateless"):
+    for name in ("boolean2", "boolean3", "MO2", "O6", "prod22", "stateless",
+                 "nonfaithful"):
         path = root / f"{name}.json"
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(load_fixture(name).data, fh, indent=2)
@@ -60,6 +61,17 @@ def test_check_F_and_H_hold(fixture_files, capsys):
     for cond in ("F", "H"):
         code, out = run(capsys, "check", cond, fixture_files["MO2"])
         assert code == 0, out
+
+
+def test_transprob_json_on_array_kernel(fixture_files, capsys):
+    # the face LPs of the 124-element pasting run on numpy tableaux; the
+    # payload must still hold only JSON-serializable Python values
+    for future, given in (("yg1m1", "yg1c1"), ("yg1c1", "yg2c1")):
+        code, out = run(capsys, "transprob", fixture_files["nonfaithful"],
+                        future, given, "--format", "json")
+        payload = json.loads(out)
+        assert code in (0, 1) and payload["command"] == "transprob", out
+        assert ("value" in payload) == payload["exists"]
 
 
 def test_input_error_is_exit_2(fixture_files, capsys, tmp_path):

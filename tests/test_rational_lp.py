@@ -1,5 +1,6 @@
 """Exact simplex and vertex enumeration."""
 
+import random
 from fractions import Fraction as F
 from unittest import mock
 
@@ -12,7 +13,12 @@ from oracles import FractionPolyhedron, enumerate_vertices_dd
 from qlogic import rational_lp as rlp
 from qlogic.builders import mo_logic
 from qlogic.core import validate_logic
-from qlogic.errors import VertexBudgetExceeded
+from qlogic.errors import (
+    EmptyStateSpace,
+    UndefinedTransition,
+    VertexBudgetExceeded,
+)
+from qlogic.fixtures import load_fixture
 from qlogic.rational_lp import Polyhedron, enumerate_vertices_basis, solve_lp
 from qlogic.states import (
     _uniqueness_gap,
@@ -63,6 +69,13 @@ def test_simplex_handles_redundant_rows():
     res = solve_lp(A, b, [1, 0])
     assert res.optimal
     assert res.value == 0
+
+
+def test_empty_system():
+    # no rows and no columns: the single point x = ()
+    assert solve_lp([], [], []) == solve_lp([], [], [], maximize=True)
+    assert solve_lp([], [], []).value == 0
+    assert enumerate_vertices_basis([], []) == [()]
 
 
 def test_degenerate_lp_terminates():
@@ -197,24 +210,64 @@ def _assert_same_path(calls):
         oracles, FractionPolyhedron, calls)
 
 
-@given(_rational_systems())
-@example(([[1, 2, F(-1, 3)], [F(1, 3), F(-1, 3), F(-1, 3)], [F(3, 4), 0, -3],
-           [F(2, 3), 2, -1], [F(1, 6), F(1, 2), F(-1, 4)],
-           [1, F(5, 3), F(-4, 3)]],
-          [F(23, 12), F(-5, 12), F(-3, 4), F(7, 4), F(7, 16), F(4, 3)],
-          [[1, 0, 0]]))
-@settings(max_examples=200, deadline=None)
-def test_polyhedron_matches_fraction_tableau(system):
-    # differential oracle: the fraction-free tableau takes the pivots of
-    # the Fraction tableau, so its rows are the same up to scale (the
-    # explicit example re-enters an artificial column whose scale d_i is 3)
+def _assert_matches_fraction_tableau(system):
     A, b, objectives = system
     _assert_same_path([(A, b, [(c, maximize) for c in objectives
                                for maximize in (False, True)])])
     poly, ref = Polyhedron(A, b), FractionPolyhedron(A, b)
-    assert all(isinstance(v, int) for row in poly.rows for v in row)
+    assert all(type(v) is int for row in poly.rows for v in row)
     assert [[F(v, row[bv]) for v in row]
             for row, bv in zip(poly.rows, poly.basis)] == ref.rows
+
+
+# re-enters an artificial column whose scale d_i is 3
+_ARTIFICIAL_REENTRY = (
+    [[1, 2, F(-1, 3)], [F(1, 3), F(-1, 3), F(-1, 3)], [F(3, 4), 0, -3],
+     [F(2, 3), 2, -1], [F(1, 6), F(1, 2), F(-1, 4)], [1, F(5, 3), F(-4, 3)]],
+    [F(23, 12), F(-5, 12), F(-3, 4), F(7, 4), F(7, 16), F(4, 3)],
+    [[1, 0, 0]])
+
+
+@given(_rational_systems())
+@example(_ARTIFICIAL_REENTRY)
+@settings(max_examples=200, deadline=None)
+def test_polyhedron_matches_fraction_tableau(system):
+    # differential oracle: the fraction-free tableau takes the pivots of
+    # the Fraction tableau, so its rows are the same up to scale
+    _assert_matches_fraction_tableau(system)
+
+
+@given(_rational_systems())
+@example(_ARTIFICIAL_REENTRY)
+@settings(max_examples=200, deadline=None)
+def test_array_kernel_matches_fraction_tableau(system):
+    # the same with every tableau, however small, on the numpy kernel
+    with mock.patch.object(rlp, "_ARRAY_CELLS", 0):
+        _assert_matches_fraction_tableau(system)
+
+
+def _storage(calls):
+    """For each tableau the library pivots on while answering calls, the
+    storage of every pivot: "rows", or the array dtype before the step."""
+    seen = []
+    pivot = rlp._pivot
+
+    def recording(T, basis, row, col):
+        array = isinstance(T, rlp._ArrayTableau)
+        seen.append((T, T.a.dtype.name if array else "rows"))
+        pivot(T, basis, row, col)
+
+    with mock.patch.object(rlp, "_pivot", recording):
+        for A, b, objectives in calls:
+            poly = Polyhedron(A, b)
+            for c, maximize in objectives:
+                poly.solve(c, maximize)
+    tableaux = []
+    for T, storage in seen:
+        if not tableaux or tableaux[-1][0] is not T:
+            tableaux.append((T, []))
+        tableaux[-1][1].append(storage)
+    return [storages for _, storages in tableaux]
 
 
 def _lp_calls(monkeypatch, run):
@@ -259,12 +312,33 @@ def _mo3_uniqueness_gap():
     _uniqueness_gap(reduced_space(mo3), mo3.index("a"))
 
 
+def _nonfaithful_faces():
+    # two faces with states on them and one without any
+    logic = load_fixture("nonfaithful").logic()
+    f, e, g, empty = (logic.index(label) for label in
+                      ("yg1m1", "yg1c1", "yg2c1", "x"))
+    transition_probability(logic, f, e)
+    transition_probability(logic, f, g)
+    with pytest.raises(UndefinedTransition):
+        transition_probability(logic, f, empty)
+
+
+def _stateless_base():
+    with pytest.raises(EmptyStateSpace):
+        check_condition_F(load_fixture("stateless").logic())
+
+
 @pytest.mark.parametrize("run", [_mo3_base, _mo3_face, _mo3_conditional,
-                                 _mo3_uniqueness_gap])
+                                 _mo3_uniqueness_gap, _nonfaithful_faces,
+                                 _stateless_base])
 def test_pivot_sequence_matches_fraction_tableau(monkeypatch, run):
     calls = _lp_calls(monkeypatch, run)
     _assert_same_path(calls)
-    assert sum(len(objectives) for _, _, objectives in calls) >= 2
+    if run is _stateless_base:
+        # phase 1 alone: it ends infeasible, so no objective is asked
+        assert len(calls) == 1 and not Polyhedron(*calls[0][:2]).feasible
+    else:
+        assert sum(len(objectives) for _, _, objectives in calls) >= 2
 
 
 def test_pivot_sequence_systems_cover_scales_and_doubling(monkeypatch):
@@ -275,6 +349,81 @@ def test_pivot_sequence_systems_cover_scales_and_doubling(monkeypatch):
     k = reduced_space(validate_logic(mo_logic(3))).k
     gap = _lp_calls(monkeypatch, _mo3_uniqueness_gap)
     assert any(len(A[0]) == 2 * k and objectives for A, _, objectives in gap)
+
+
+def test_pivot_sequence_pastings_run_on_the_array_kernel(monkeypatch):
+    # the Greechie pastings' tableaux are above the size rule and stay
+    # within int64; the MO3 ones are below it
+    for run in (_nonfaithful_faces, _stateless_base):
+        storages = _storage(_lp_calls(monkeypatch, run))
+        assert storages and all(s == ["int64"] * len(s) for s in storages)
+    storages = _storage(_lp_calls(monkeypatch, _mo3_face))
+    assert storages and all(s == ["rows"] * len(s) for s in storages)
+
+
+def _system_with_objectives(A, x0, objectives):
+    """A, b = A x0 and both senses of every objective."""
+    b = [sum((a * x for a, x in zip(row, x0)), F(0)) for row in A]
+    return A, b, [(c, maximize) for c in objectives
+                  for maximize in (False, True)]
+
+
+def test_array_kernel_starts_on_python_ints_beyond_int64_bound():
+    # a denominator near 2^40 scales the rows beyond 2^31 but within
+    # int64 from the start
+    d = (1 << 40) + 1
+    A = [[F(1, d), F(2, d), F(-1, d), 1, 0],
+         [F(3, d), F(-1, d), 1, 0, 1],
+         [1, 1, 1, 1, 1]]
+    calls = [_system_with_objectives(A, [F(1, 7), 0, F(2, 5), F(1, 3), 0],
+                                     [[1, -1, 2, 0, 3], [0, 0, 0, 1, -1]])]
+    with mock.patch.object(rlp, "_ARRAY_CELLS", 0):
+        _assert_same_path(calls)
+        storages = _storage(calls)
+    assert storages and all(s == ["object"] * len(s) for s in storages)
+
+
+def test_array_kernel_moves_to_python_ints_mid_solve():
+    # entries up to 1e5 fit int64, their products after a pivot or two
+    # do not: the storage changes between pivots of one tableau
+    for seed in range(20):
+        rng = random.Random(seed)
+        m = rng.randint(3, 5)
+        n = rng.randint(m + 1, 8)
+
+        def entries():
+            return [rng.randint(-10**5, 10**5) for _ in range(n)]
+
+        A = [entries() for _ in range(m)]
+        x0 = [rng.randint(0, 3) for _ in range(n)]
+        calls = [_system_with_objectives(A, x0, [entries(), entries()])]
+        with mock.patch.object(rlp, "_ARRAY_CELLS", 0):
+            _assert_same_path(calls)
+            storages = _storage(calls)
+        for s in storages:
+            assert s == sorted(s, key=["int64", "object"].index), seed
+        assert storages[0][0] == "int64", seed
+        assert storages[0][-1] == "object", seed
+
+
+def test_array_kernel_returns_python_numbers():
+    # rows of Python ints and results of Fractions of Python ints, as on
+    # the list kernel
+    logic = load_fixture("nonfaithful").logic()
+    space = reduced_space(logic)
+    poly = space.polyhedron()
+    n = len(poly.rows[0]) - 1
+    assert (len(poly.rows) + 1) * (n + 1) >= rlp._ARRAY_CELLS
+    assert all(type(v) is int for row in poly.rows for v in row)
+    assert all(type(v) is int for v in poly.basis)
+    for e in (logic.index("yg1c1"), logic.one):
+        for maximize in (False, True):
+            res = poly.solve(space.indicator(e), maximize)
+            assert res.optimal
+            for v in (res.value, *res.x):
+                assert type(v) is F
+                assert type(v.numerator) is int
+                assert type(v.denominator) is int
 
 
 def test_vertices_of_probability_simplex():
