@@ -10,6 +10,7 @@ stdout; identical invocations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -416,8 +417,14 @@ def _cmd_lemma3(args):
     else:
         pairs = [(e, f) for e in factor.atoms for f in factor.atoms]
     if args.state:
-        _, rho = _load_state(args.state)
-        rhos = [rho]
+        logic, rho = _load_state(args.state)
+        # the state file's logic is validated on its own, so the state is
+        # rebuilt on the ambient that the composite's projections reach
+        if logic.describe().to_dict() != comp.ambient.describe().to_dict():
+            raise LogicInputError(
+                "the state's logic is not the ambient logic of the composite"
+            )
+        rhos = [State(comp.ambient, rho.values)]
     else:
         rhos = list(state_polytope(comp.ambient, budget=args.budget).vertices)
     try:
@@ -586,6 +593,7 @@ def non_negative_int(text: str) -> int:
     return value
 
 
+@functools.cache  # built once per process; parsing leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qlogic",

@@ -12,18 +12,22 @@ which the orthomodular law provides), so additivity pins the value of
 every element to the sum over its decomposition.  The original
 constraint system over all elements is therefore equivalent to a small
 system over the atom values, which keeps even 512-element product
-algebras tractable.
+algebras tractable.  ``ReducedStateSpace.counts`` holds the
+decompositions as one integer matrix: the constraint rows, the element
+values of a state and the state check all read it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 import numpy as np
 
 from . import rational_lp as rlp
-from .core import FiniteLogic, derived, join_table
+from .core import FiniteLogic, _bool_matmul, derived, join_table
 from .errors import (
     EmptyStateSpace,
     EquivalenceViolated,
@@ -34,9 +38,6 @@ from .errors import (
     UndefinedTransition,
     ZeroCondition,
 )
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 DEFAULT_VERTEX_BUDGET = 100_000
 
@@ -54,13 +55,14 @@ class State:
 
     Values are exact ``Fraction`` objects indexed by element.  The
     constructor checks bounds, normalization and additivity; internal
-    code that builds states from feasible atom vectors skips the check.
+    code that builds states from feasible atom vectors passes their
+    ``Fraction`` values and skips the check.
     """
 
     __slots__ = ("logic", "values")
 
     def __init__(self, logic: FiniteLogic, values, _checked=False):
-        vals = tuple(Fraction(v) for v in values)
+        vals = tuple(values) if _checked else tuple(map(Fraction, values))
         if not _checked:
             _check_state(logic, vals)
         self.logic = logic
@@ -116,27 +118,39 @@ def _check_state(logic: FiniteLogic, vals) -> None:
     space = reduced_space(logic)
     p = [vals[a] for a in space.atoms]
     # values pinned by the atom decompositions...
-    for e in range(logic.n):
-        if vals[e] != space.value(p, e):
+    for e, (v, w) in enumerate(zip(vals, space.state(p).values)):
+        if v != w:
             raise StateInvariantError(
                 f"value of {logic.labels[e]!r} is not the sum over its "
                 "orthogonal atom decomposition"
             )
     # ...plus the deduplicated additivity rows give full additivity
-    for row in space.rows:
-        if sum(c * x for c, x in zip(row, p)) != 0:
-            raise StateInvariantError("additivity fails on an orthogonal pair")
+    nums, _ = _common_denominator(p)
+    if any(sum(map(mul, row, nums)) for row in space.rows):
+        raise StateInvariantError("additivity fails on an orthogonal pair")
+
+
+def _common_denominator(p):
+    """Rationals p as integers over the lcm d of their denominators."""
+    d = lcm(*(x.denominator for x in p))
+    return [x.numerator * (d // x.denominator) for x in p], d
 
 
 class ReducedStateSpace:
-    """Constraint system for the states of one logic, in atom coordinates."""
+    """Constraint system for the states of one logic, in atom coordinates.
+
+    ``counts`` is the read-only (n, k) integer matrix of the atom
+    decompositions: ``counts[e, i]`` is 1 when atom i is in the
+    decomposition of e, else 0.  A state's value on e is row e times its
+    atom values; the additivity rows, the normalization row and every
+    objective and face row are integer rows built from it.
+    """
 
     def __init__(self, logic: FiniteLogic):
         self.logic = logic
         self.atoms = logic.atoms
         self.k = len(self.atoms)
-        self.pos = {a: i for i, a in enumerate(self.atoms)}
-        self.decomp = self._decompositions()
+        self.counts = self._decompositions()
         self.rows = self._additivity_rows()
         self.norm = self.indicator(logic.one)
 
@@ -144,32 +158,33 @@ class ReducedStateSpace:
 
     def _decompositions(self):
         logic = self.logic
+        atoms = list(self.atoms)
+        below = logic.leq[atoms]  # below[i, r]: atom i <= r
         if logic.is_powerset:
-            bits = []
-            for e in range(logic.n):
-                mask = logic.atom_masks[e]
-                bits.append(tuple(i for i in range(self.k) if mask >> i & 1))
-            return tuple(bits)
-        meet = join_table(logic).meet
-        below = logic.leq[list(self.atoms)]  # below[i, r]: atom i <= r
-        first, some = below.argmax(axis=0).tolist(), below.any(axis=0)
-        out = []
-        for e in range(logic.n):
-            parts = []
-            r = e
-            while r != logic.zero:
-                if not some[r]:  # finiteness guarantees an atom below r
-                    raise InternalInvariantError(
-                        f"no atom below {logic.labels[r]!r}"
-                    )
-                parts.append(first[r])
-                r = int(meet[r, self.atoms[first[r]]])  # r ^ a'
-                if r < 0:  # validation guarantees existence
+            counts = below.T.astype(np.int8)
+        else:
+            # peel all elements at once: while r is not the zero, count
+            # the first atom a below r and continue with r ^ a'
+            meet = join_table(logic).meet
+            first = below.argmax(axis=0)
+            counts = np.zeros((logic.n, self.k), dtype=np.int8)
+            elems = r = np.arange(logic.n)
+            while (live := r != logic.zero).any():
+                elems, r = elems[live], r[live]
+                i = first[r]
+                counts[elems, i] = 1
+                # finiteness and validation guarantee an atom below r
+                # and the meet r ^ a'
+                stalled = ~below[i, r]
+                r = meet[r, np.take(atoms, i)]
+                stalled |= r < 0
+                if stalled.any():
+                    e = elems[stalled][0]
                     raise InternalInvariantError(
                         f"decomposition of {logic.labels[e]!r} stalled"
                     )
-            out.append(tuple(parts))
-        return tuple(out)
+        counts.flags.writeable = False
+        return counts
 
     def _additivity_rows(self):
         """Integer rows s - e - f over the decompositions of every
@@ -180,11 +195,9 @@ class ReducedStateSpace:
             # disjoint unions, so every additivity row cancels exactly
             return ()
         join = join_table(logic).join
-        counts = np.zeros((logic.n, self.k), dtype=np.int8)  # rows in -2..1
-        for e, parts in enumerate(self.decomp):
-            counts[e, list(parts)] = 1
+        counts = self.counts
         e, f = np.nonzero(np.triu(join >= 0))
-        rows = counts[join[e, f]] - counts[e] - counts[f]
+        rows = counts[join[e, f]] - counts[e] - counts[f]  # entries in -2..1
         rows = rows[rows.any(axis=1)]
         rows = rows[np.lexsort(rows.T[::-1])]  # first column first
         fresh = np.ones(len(rows), dtype=bool)
@@ -194,26 +207,27 @@ class ReducedStateSpace:
     # -- helpers ----------------------------------------------------------
 
     def indicator(self, e: int):
-        row = [ZERO] * self.k
-        for p in self.decomp[e]:
-            row[p] += 1
-        return tuple(row)
-
-    def value(self, p, e: int) -> Fraction:
-        return sum((p[i] for i in self.decomp[e]), ZERO)
+        return tuple(self.counts[e].tolist())
 
     def state(self, p) -> State:
-        vals = [self.value(p, e) for e in range(self.logic.n)]
-        return State(self.logic, vals, _checked=True)
+        """The state with atom values p: every element's value is one
+        integer product of ``counts`` with p over a common denominator."""
+        nums, d = _common_denominator(p)
+        # int64 holds the sums while k times the largest entry does
+        fits = max(map(abs, nums), default=0) * self.k < 1 << 63
+        dtype = np.int64 if fits else object
+        sums = (self.counts @ np.array(nums, dtype=dtype)).tolist()
+        value = {v: Fraction(v, d) for v in set(sums)}
+        return State(self.logic, [value[v] for v in sums], _checked=True)
 
     def system(self, extra=()):
         A = [list(r) for r in self.rows]
-        b = [ZERO] * len(self.rows)
+        b = [0] * len(self.rows)
         A.append(list(self.norm))
-        b.append(ONE)
+        b.append(1)
         for coeffs, rhs in extra:
             A.append(list(coeffs))
-            b.append(Fraction(rhs))
+            b.append(rhs)
         return A, b
 
     def polyhedron(self, extra=()) -> rlp.Polyhedron:
@@ -222,8 +236,8 @@ class ReducedStateSpace:
     def feasible(self, extra=()) -> bool:
         return self.polyhedron(extra).feasible
 
-    def face_rows(self, e: int, value=ONE):
-        return ((self.indicator(e), Fraction(value)),)
+    def face_rows(self, e: int):
+        return ((self.indicator(e), 1),)
 
 
 @derived
@@ -330,15 +344,23 @@ def _conditional_rows(space, base: State, e: int):
     additive over that decomposition, so the full constraint family is
     equivalent to its restriction to the atoms below e.
     """
-    logic = space.logic
-    pe = base[e]
-    rows = []
-    for a in space.atoms:
-        if logic.leq[a, e]:
-            unit = [ZERO] * space.k
-            unit[space.pos[a]] = ONE
-            rows.append((tuple(unit), base[a] / pe))
-    return tuple(rows)
+    k = space.k
+    return tuple(([0] * i + [1] + [0] * (k - i - 1), base[a] / base[e])
+                 for i, a in enumerate(space.atoms) if space.logic.leq[a, e])
+
+
+def _atom_ranges(space, poly):
+    """Minimize and maximize each atom value over poly in atom order, up
+    to the first atom where the two differ: (values, None) if there is
+    none, else (None, (i, lo, hi)) for that atom i."""
+    values = []
+    for i, a in enumerate(space.atoms):
+        obj = space.indicator(a)
+        lo, hi = poly.solve(obj), poly.solve(obj, maximize=True)
+        if lo.value != hi.value:
+            return None, (i, lo, hi)
+        values.append(lo.value)
+    return values, None
 
 
 def conditional_probability(logic: FiniteLogic, base: State,
@@ -353,23 +375,12 @@ def conditional_probability(logic: FiniteLogic, base: State,
     if not poly.feasible:
         return ConditionalResult("non_existent", e, base)
 
-    lo_states, hi_states = {}, {}
-    unique = True
-    first_gap = None
-    for i, a in enumerate(space.atoms):
-        lo = poly.solve(space.indicator(a))
-        hi = poly.solve(space.indicator(a), maximize=True)
-        lo_states[i], hi_states[i] = lo, hi
-        if lo.value != hi.value and first_gap is None:
-            unique = False
-            first_gap = i
-
-    if unique:
-        p = tuple(lo_states[i].value for i in range(space.k))
+    p, gap = _atom_ranges(space, poly)
+    if gap is None:
         return ConditionalResult("unique", e, base, state=space.state(p))
-    w1 = space.state(lo_states[first_gap].x)
-    w2 = space.state(hi_states[first_gap].x)
-    return ConditionalResult("non_unique", e, base, witnesses=(w1, w2))
+    _, lo, hi = gap
+    return ConditionalResult("non_unique", e, base,
+                             witnesses=(space.state(lo.x), space.state(hi.x)))
 
 
 # ---------------------------------------------------------------------------
@@ -388,12 +399,13 @@ class UniqueConditionalsReport:
 @derived
 def check_condition_G(logic: FiniteLogic,
                       budget=DEFAULT_VERTEX_BUDGET) -> UniqueConditionalsReport:
-    """Existence on polytope vertices plus a two-state gap LP per event.
+    """Existence on polytope vertices plus a two-state gap test per event.
 
     Scaled restrictions of mixtures are convex combinations of scaled
     vertex restrictions, so vertex existence implies existence for every
     base state.  Non-uniqueness for any base yields two states with value
-    1 on e agreeing below e, which the gap LP detects coordinatewise.
+    1 on e agreeing below e, which the gap LP detects coordinatewise
+    unless every atom lies below e or e' and no gap can open.
     """
     space = reduced_space(logic)
     verts = _polytope_vertices(logic, budget)
@@ -431,41 +443,33 @@ def _uniqueness_gap(space, e):
     """
     logic = space.logic
     k = space.k
+    atoms = list(space.atoms)
+    # a state with value 1 on e has value 0 on e', so if every atom lies
+    # below e or below e', two face states agreeing on the atoms below e
+    # agree on every atom, hence are equal
+    if (logic.leq[atoms, e] | logic.leq[atoms, logic.ortho[e]]).all():
+        return None
     A, b = [], []
     base_A, base_b = space.system(space.face_rows(e))
     for row, rhs in zip(base_A, base_b):
-        A.append(list(row) + [ZERO] * k)
-        b.append(rhs)
-        A.append([ZERO] * k + list(row))
-        b.append(rhs)
+        A += [row + [0] * k, [0] * k + row]
+        b += [rhs, rhs]
     # agreement below e reduces to agreement on the atoms below e (values
     # of every f <= e are sums over atoms below e)
     free = []
-    for a in space.atoms:
+    for i, a in enumerate(atoms):
         if logic.leq[a, e]:
-            row = [ZERO] * (2 * k)
-            row[space.pos[a]] = ONE
-            row[k + space.pos[a]] = -ONE
+            row = [0] * (2 * k)
+            row[i], row[k + i] = 1, -1
             A.append(row)
-            b.append(ZERO)
+            b.append(0)
         else:
-            free.append(space.pos[a])
-    if not free:
-        return None
-    # if the face pins the total free-atom mass to zero, two face states
-    # agreeing on the atoms below e agree on every atom, hence are equal
-    total = [ZERO] * k
-    for i in free:
-        total[i] = ONE
-    top = space.polyhedron(space.face_rows(e)).solve(total, maximize=True)
-    if top.optimal and top.value == 0:
-        return None
+            free.append(i)
     doubled = rlp.Polyhedron(A, b)
     # a gap can only open on atoms not pinned by an agreement row
     for i in free:
-        obj = [ZERO] * (2 * k)
-        obj[i] = ONE
-        obj[k + i] = -ONE
+        obj = [0] * (2 * k)
+        obj[i], obj[k + i] = 1, -1
         res = doubled.solve(obj, maximize=True)
         if res.optimal and res.value > 0:
             return space.state(res.x[:k]), space.state(res.x[k:])
@@ -493,27 +497,21 @@ def check_condition_H(logic: FiniteLogic,
     are exactly the polytope vertices lying on it, so one vertex sweep
     answers every pair."""
     verts = _polytope_vertices(logic, budget)
-    ones = []
-    for e in range(logic.n):
-        mask = 0
-        for vi, v in enumerate(verts):
-            if v[e] == 1:
-                mask |= 1 << vi
-        ones.append(mask)
-    vacuous = tuple(f for f in range(logic.n) if ones[f] == 0)
-    for f in range(logic.n):
-        if ones[f] == 0:
-            continue
-        for e in range(logic.n):
-            if logic.leq[f, e]:
-                continue
-            if ones[f] & ~ones[e] == 0:
-                vi = ones[f].bit_length() - 1
-                return StrongStateSpaceReport(
-                    holds=False, violating_pair=(e, f),
-                    evidence=verts[vi],
-                    vacuous_premises=vacuous,
-                )
+    # ones[e, v]: vertex v gives e the value 1
+    ones = np.array([[x == 1 for x in v.values] for v in verts],
+                    dtype=bool).reshape(len(verts), logic.n).T
+    reached = ones.any(axis=1)
+    vacuous = tuple(np.flatnonzero(~reached).tolist())
+    # covered[f, e]: e has value 1 on every vertex where f has
+    covered = ~_bool_matmul(ones, ~ones.T)
+    bad = np.argwhere(covered & ~logic.leq & reached[:, None])
+    if bad.size:
+        f, e = bad[0].tolist()
+        return StrongStateSpaceReport(
+            holds=False, violating_pair=(e, f),
+            evidence=verts[int(np.flatnonzero(ones[f])[-1])],
+            vacuous_premises=vacuous,
+        )
     return StrongStateSpaceReport(holds=True, vacuous_premises=vacuous)
 
 
@@ -562,21 +560,18 @@ def atomic_state(logic: FiniteLogic, e: int) -> State:
         raise NotAnAtom(f"{logic.labels[e]!r} is not an atom")
     space = reduced_space(logic)
     face = space.polyhedron(space.face_rows(e))
-    p = []
-    for a in space.atoms:
-        lo = face.solve(space.indicator(a))
-        if not lo.optimal:
-            raise NotUnique(
-                f"no state assigns probability 1 to atom {logic.labels[e]!r}"
-            )
-        hi = face.solve(space.indicator(a), maximize=True)
-        if lo.value != hi.value:
-            raise NotUnique(
-                f"states concentrated on atom {logic.labels[e]!r} are not unique: "
-                f"value of {logic.labels[a]!r} ranges over "
-                f"[{lo.value}, {hi.value}]"
-            )
-        p.append(lo.value)
+    if not face.feasible:
+        raise NotUnique(
+            f"no state assigns probability 1 to atom {logic.labels[e]!r}"
+        )
+    p, gap = _atom_ranges(space, face)
+    if gap is not None:
+        i, lo, hi = gap
+        raise NotUnique(
+            f"states concentrated on atom {logic.labels[e]!r} are not unique: "
+            f"value of {logic.labels[space.atoms[i]]!r} ranges over "
+            f"[{lo.value}, {hi.value}]"
+        )
     return space.state(p)
 
 

@@ -7,10 +7,16 @@ from itertools import permutations
 import numpy as np
 
 from qlogic.compat import is_compatible_subset
-from qlogic.errors import AxiomViolation, SearchBudgetExceeded, VertexBudgetExceeded
+from qlogic.errors import (
+    AxiomViolation,
+    EmptyStateSpace,
+    SearchBudgetExceeded,
+    VertexBudgetExceeded,
+)
 from qlogic.morphisms import Automorphism, dual_state
-from qlogic.rational_lp import LPResult
+from qlogic.rational_lp import LPResult, Polyhedron
 from qlogic.states import (
+    StrongStateSpaceReport,
     _conditional_rows,
     atomic_state,
     reduced_space,
@@ -202,33 +208,94 @@ class FractionPolyhedron:
         return LPResult("optimal", value, tuple(x))
 
 
-def additivity_rows(logic):
-    """The additivity rows of ``states.ReducedStateSpace`` rebuilt from
-    the definition: atom decompositions peeled with ``find_inf``, then
-    one ``Fraction`` row s - e - f per orthogonal pair e, f with join s
-    found by ``find_sup``; deduplicated and sorted."""
+def decompositions(logic):
+    """The atom decompositions as ``states.ReducedStateSpace.counts``
+    holds them, peeled one element at a time with ``find_inf``: row e
+    has a 1 at every atom position in the decomposition of e."""
     leq, ortho, atoms = logic.leq, logic.ortho, logic.atoms
-    decomp = []
+    counts = np.zeros((logic.n, len(atoms)), dtype=int)
     for e in range(logic.n):
-        parts, r = [], e
+        r = e
         while r != logic.zero:
             i = next(i for i, a in enumerate(atoms) if leq[a, r])
-            parts.append(i)
+            counts[e, i] += 1
             r = find_inf(leq, r, int(ortho[atoms[i]]))
-        decomp.append(parts)
+    return counts
+
+
+def additivity_rows(logic):
+    """The additivity rows of ``states.ReducedStateSpace`` rebuilt from
+    the definition: one row s - e - f over the ``decompositions`` per
+    orthogonal pair e, f with join s found by ``find_sup``; deduplicated
+    and sorted."""
+    leq, ortho = logic.leq, logic.ortho
+    counts = decompositions(logic).tolist()
     rows = set()
     for e in range(logic.n):
         for f in range(e, logic.n):
             if not leq[e, ortho[f]]:
                 continue
-            coeffs = [ZERO] * len(atoms)
-            for p in decomp[find_sup(leq, e, f)]:
-                coeffs[p] += 1
-            for p in decomp[e] + decomp[f]:
-                coeffs[p] -= 1
+            s = counts[find_sup(leq, e, f)]
+            coeffs = tuple(a - b - c for a, b, c in zip(s, counts[e], counts[f]))
             if any(coeffs):
-                rows.add(tuple(coeffs))
+                rows.add(coeffs)
     return sorted(rows)
+
+
+def uniqueness_gap(space, e):
+    """The library's two-state gap search without its combinatorial
+    pre-test: over the doubled system (two states with value 1 on e that
+    agree on the atoms below e), maximize mu1_a - mu2_a for every atom a
+    not below e in turn; the first positive optimum is the gap."""
+    logic, k = space.logic, space.k
+    A, b = [], []
+    base_A, base_b = space.system(space.face_rows(e))
+    for row, rhs in zip(base_A, base_b):
+        A += [list(row) + [0] * k, [0] * k + list(row)]
+        b += [rhs, rhs]
+    free = []
+    for i, a in enumerate(space.atoms):
+        if logic.leq[a, e]:
+            row = [0] * (2 * k)
+            row[i], row[k + i] = 1, -1
+            A.append(row)
+            b.append(0)
+        else:
+            free.append(i)
+    doubled = Polyhedron(A, b)
+    for i in free:
+        obj = [0] * (2 * k)
+        obj[i], obj[k + i] = 1, -1
+        res = doubled.solve(obj, maximize=True)
+        if res.optimal and res.value > 0:
+            return space.state(res.x[:k]), space.state(res.x[k:])
+    return None
+
+
+def strong_state_space(logic, budget=100_000):
+    """Condition (H) by a double loop over element pairs on per-element
+    vertex bitmasks: the first (f, e) in row-major order with f not
+    below e whose mask of value-1 vertices is inside e's, with the last
+    such vertex of f as evidence."""
+    try:
+        verts = state_polytope(logic, budget).vertices
+    except EmptyStateSpace:
+        verts = ()
+    ones = []
+    for e in range(logic.n):
+        ones.append(sum(1 << vi for vi, v in enumerate(verts) if v[e] == 1))
+    vacuous = tuple(f for f in range(logic.n) if ones[f] == 0)
+    for f in range(logic.n):
+        if ones[f] == 0:
+            continue
+        for e in range(logic.n):
+            if not logic.leq[f, e] and ones[f] & ~ones[e] == 0:
+                return StrongStateSpaceReport(
+                    holds=False, violating_pair=(e, f),
+                    evidence=verts[ones[f].bit_length() - 1],
+                    vacuous_premises=vacuous,
+                )
+    return StrongStateSpaceReport(holds=True, vacuous_premises=vacuous)
 
 
 def enumerate_vertices_dd(A, b, budget=100_000):

@@ -9,7 +9,7 @@ from qlogic.cli import build_parser, main
 from qlogic.core import LogicDescription, validate_logic
 from qlogic.errors import CertificateFailed, InternalInvariantError
 from qlogic.fixtures import load_fixture
-from qlogic.states import State, parse_rational
+from qlogic.states import State, atomic_state, parse_rational
 
 
 @pytest.fixture(scope="module")
@@ -259,6 +259,27 @@ def test_lemma_commands(fixture_files, capsys, tmp_path):
     code, out = run(capsys, "lemma3", fixture_files["prod22"],
                     "--format", "json")
     assert code == 0 and json.loads(out)["states_checked"] == 4
+
+
+def test_lemma3_with_state_file(fixture_files, capsys, tmp_path):
+    # the state file carries its own copy of the logic: a copy of the
+    # ambient is accepted, any other logic is bad input
+    ambient = load_fixture("prod22").composite().ambient
+    state = tmp_path / "ambient_state.json"
+    with open(state, "w", encoding="utf-8") as fh:
+        json.dump(atomic_state(ambient, ambient.atoms[0]).to_dict(), fh)
+    code, out = run(capsys, "lemma3", fixture_files["prod22"], "--state",
+                    str(state), "--format", "json")
+    assert code == 0
+    assert json.loads(out)["states_checked"] == 1
+    other = tmp_path / "boolean2_state.json"
+    b2 = load_fixture("boolean2").logic()
+    with open(other, "w", encoding="utf-8") as fh:
+        json.dump(atomic_state(b2, b2.atoms[0]).to_dict(), fh)
+    code, out = run(capsys, "lemma3", fixture_files["prod22"], "--state",
+                    str(other), "--format", "json")
+    assert code == 2
+    assert "not the ambient logic" in json.loads(out)["detail"]
 
 
 def test_hilbert_subcommands(capsys, tmp_path):

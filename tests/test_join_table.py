@@ -9,7 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from oracles import additivity_rows, check_axioms_cde, find_inf, find_sup
+from oracles import (
+    additivity_rows,
+    check_axioms_cde,
+    decompositions,
+    find_inf,
+    find_sup,
+)
 from qlogic import core
 from qlogic.builders import boolean_algebra, greechie, hexagon_o6, mo_logic
 from qlogic.compat import closure, is_boolean_subalgebra
@@ -54,8 +60,11 @@ def _assert_bounds_match_oracle(logic, queried):
     assert table.meet.ravel().tolist() == want_meet
 
 
-def _assert_rows_match_oracle(logic):
-    rows = reduced_space(logic).rows
+def _assert_space_matches_oracle(logic):
+    space = reduced_space(logic)
+    assert not space.counts.flags.writeable
+    assert space.counts.tolist() == decompositions(logic).tolist()
+    rows = space.rows
     assert all(type(c) is int for row in rows for c in row)
     if not logic.is_powerset:  # a powerset needs no additivity rows
         assert list(rows) == additivity_rows(logic)
@@ -97,7 +106,7 @@ def test_join_table_matches_oracle_on_fixtures(name, logic):
     else:
         _assert_bounds_match_oracle(
             logic, range(logic.n) if logic.n <= 64 else sample)
-    _assert_rows_match_oracle(logic)
+    _assert_space_matches_oracle(logic)
 
 
 _POOL = "abcdefgh"
@@ -141,7 +150,7 @@ def test_join_table_matches_oracle_on_pastings(blocks):
     except QLogicError:
         return
     _assert_bounds_match_oracle(logic, range(logic.n))
-    _assert_rows_match_oracle(logic)
+    _assert_space_matches_oracle(logic)
 
 
 def _violation(check, arg):

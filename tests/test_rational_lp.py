@@ -23,6 +23,7 @@ from qlogic.rational_lp import Polyhedron, enumerate_vertices_basis, solve_lp
 from qlogic.states import (
     _uniqueness_gap,
     check_condition_F,
+    check_condition_G,
     conditional_probability,
     reduced_space,
     transition_probability,
@@ -349,6 +350,18 @@ def test_pivot_sequence_systems_cover_scales_and_doubling(monkeypatch):
     k = reduced_space(validate_logic(mo_logic(3))).k
     gap = _lp_calls(monkeypatch, _mo3_uniqueness_gap)
     assert any(len(A[0]) == 2 * k and objectives for A, _, objectives in gap)
+
+
+def test_condition_G_on_boolean_ambient_builds_no_face(monkeypatch):
+    # every atom of the 512-element prod33 ambient lies below e or e', so
+    # the combinatorial gap test settles each element without an LP: the
+    # one polyhedron built is the base system the vertices come from
+    ambient = load_fixture("prod33").composite().ambient
+    logic = validate_logic(ambient.describe())  # fresh: nothing stored
+    base = reduced_space(logic).system()
+    calls = _lp_calls(monkeypatch, lambda: check_condition_G(logic))
+    assert check_condition_G(logic).holds
+    assert [(A, b) for A, b, _ in calls] == [base]
 
 
 def test_pivot_sequence_pastings_run_on_the_array_kernel(monkeypatch):

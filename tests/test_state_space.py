@@ -1,0 +1,154 @@
+"""The decomposition count matrix of the reduced state space, and the
+state-layer paths that read it, against the slow references in
+``oracles``."""
+
+import functools
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
+from qlogic.builders import boolean_algebra, greechie, mo_logic
+from qlogic.core import validate_logic
+from qlogic.errors import QLogicError, StateInvariantError
+from qlogic.fixtures import load_fixture
+from qlogic.states import (
+    State,
+    _uniqueness_gap,
+    check_condition_H,
+    reduced_space,
+)
+from test_join_table import _description, _pasting_blocks
+
+
+# five 3-atom blocks pasted into a 20-element logic that fails (H)
+PENTAGON_PASTING = [("b", "d", "a"), ("g", "c", "h"), ("e", "i", "f"),
+                    ("b", "h", "i"), ("d", "c", "f")]
+
+
+_LOGICS = {
+    "boolean3": lambda: validate_logic(boolean_algebra(3)),
+    "boolean4": lambda: validate_logic(boolean_algebra(4)),
+    "MO2": lambda: validate_logic(mo_logic(2)),
+    "MO3": lambda: validate_logic(mo_logic(3)),
+    "prod22-ambient": lambda: load_fixture("prod22").composite().ambient,
+    "pentagon-pasting": lambda: validate_logic(greechie(PENTAGON_PASTING)),
+    "nonfaithful": lambda: load_fixture("nonfaithful").logic(),
+}
+
+
+@functools.cache
+def _logic(name):
+    return _LOGICS[name]()
+
+
+@functools.cache
+def _oracle_counts(name):
+    return oracles.decompositions(_logic(name)).tolist()
+
+
+def _assert_gap_and_H_match_oracles(logic):
+    space = reduced_space(logic)
+    for e in range(logic.n):
+        assert _uniqueness_gap(space, e) == oracles.uniqueness_gap(space, e), e
+    assert check_condition_H(logic) == oracles.strong_state_space(logic)
+
+
+@pytest.mark.parametrize("name", ["boolean3", "boolean4", "MO2", "MO3",
+                                  "prod22-ambient", "pentagon-pasting"])
+def test_gap_and_H_match_oracles_on_fixtures(name):
+    _assert_gap_and_H_match_oracles(_logic(name))
+
+
+def test_H_comparison_covers_a_violation():
+    report = check_condition_H(_logic("pentagon-pasting"))
+    assert not report.holds and report.evidence is not None
+
+
+def test_gap_oracle_finds_gaps():
+    # MO2 and MO3 have gaps: the comparison is not between two Nones
+    for n in (2, 3):
+        logic = validate_logic(mo_logic(n))
+        a = logic.index("a")
+        w1, w2 = oracles.uniqueness_gap(reduced_space(logic), a)
+        assert w1 != w2 and w1[a] == w2[a] == 1
+
+
+@given(_pasting_blocks())
+@settings(max_examples=25, deadline=None)
+def test_gap_and_H_match_oracles_on_pastings(blocks):
+    desc = _description(blocks)
+    if desc is None:
+        return
+    try:
+        logic = validate_logic(desc)
+    except QLogicError:
+        return
+    _assert_gap_and_H_match_oracles(logic)
+
+
+def _decomposition_sums(name, p):
+    return [sum((x for x, c in zip(p, row) for _ in range(c)), F(0))
+            for row in _oracle_counts(name)]
+
+
+_atom_values = st.one_of(
+    st.integers(0, 50),
+    st.integers(2 ** 60, 2 ** 70),   # beyond int64 once summed or scaled
+).flatmap(lambda num: st.integers(1, 2 ** 66).map(lambda den: F(num, den)))
+
+
+@pytest.mark.parametrize("name", ["MO3", "prod22-ambient", "nonfaithful"])
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_state_values_are_decomposition_sums(name, data):
+    space = reduced_space(_logic(name))
+    p = data.draw(st.lists(_atom_values, min_size=space.k, max_size=space.k))
+    want = _decomposition_sums(name, p)
+    assert list(space.state(p).values) == want
+    assert all(type(v) is F for v in space.state(p).values)
+
+
+def test_state_values_beyond_int64():
+    space = reduced_space(_logic("prod22-ambient"))
+    big = F(2 ** 64 + 1, 3)
+    p = [big] + [F(1, 2 ** 63 + 5)] * (space.k - 1)
+    assert list(space.state(p).values) == _decomposition_sums(
+        "prod22-ambient", p)
+    # over the common denominator, k times the largest numerator is just
+    # below 2^63 (int64 sums) and just above it (Python-int sums)
+    prime = 2 ** 89 - 1
+    for num in ((2 ** 63 - 1) // space.k, (2 ** 63 - 1) // space.k + 1):
+        p = [F(num, prime)] + [F(1, prime)] * (space.k - 1)
+        assert list(space.state(p).values) == _decomposition_sums(
+            "prod22-ambient", p)
+
+
+def _oracle_check_message(name, vals):
+    """The message of the first failing check after the bound checks:
+    per-element decomposition sums in element order, then additivity."""
+    logic = _logic(name)
+    p = [vals[a] for a in logic.atoms]
+    for e, want in enumerate(_decomposition_sums(name, p)):
+        if vals[e] != want:
+            return (f"value of {logic.labels[e]!r} is not the sum over its "
+                    "orthogonal atom decomposition")
+    return "additivity fails on an orthogonal pair"
+
+
+@pytest.mark.parametrize("name", ["MO3", "prod22-ambient", "nonfaithful"])
+def test_state_check_reports_first_failing_element(name):
+    logic = _logic(name)
+    space = reduced_space(logic)
+    vertex = space.state(space.polyhedron().solve(space.norm).x)
+    assert State(logic, vertex.values) == vertex
+    for e in range(logic.n):
+        if e in (logic.zero, logic.one):
+            continue
+        vals = list(vertex.values)
+        vals[e] = F(1, 3) if vals[e] != F(1, 3) else F(2, 3)
+        with pytest.raises(StateInvariantError) as info:
+            State(logic, vals)
+        assert str(info.value) == _oracle_check_message(name, vals), e
