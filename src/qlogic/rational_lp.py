@@ -11,8 +11,12 @@ integer vector (divided by the gcd of its entries after every pivot)
 that equals the rational tableau row up to a positive scale, so a basic
 value is ``row[-1] / row[basis[i]]``.  Signs and ratio comparisons, and
 with them every pivot choice, are those of the rational tableau.
-``fractions.Fraction`` appears only at the boundary: converting the
-input and building results.  There is no floating point in this module.
+Constraint rows and objectives alike are read as integer rows over the
+lcm of their denominators (ints and ``Fraction``s pass through as they
+are), so ``fractions.Fraction`` appears only at the boundary: reading a
+rational input and building results, where an objective value is one
+``Fraction`` of an integer sum.  There is no floating point in this
+module.
 
 A tableau of at least ``_ARRAY_CELLS`` cells is a 2-D numpy integer
 array, and a pivot on it is one rank-1 update of the rows it changes,
@@ -277,15 +281,17 @@ class Polyhedron:
         self.basis = basis
 
     def solve(self, c, maximize=False) -> LPResult:
-        """Optimize c . x over the polyhedron exactly (phase 2)."""
+        """Optimize c . x over the polyhedron exactly (phase 2).
+
+        The objective is read as integers over the lcm d of its
+        denominators (ints as they are), and ``value`` is one
+        ``Fraction`` of the integer sum over the basic variables."""
         if not self.feasible:
             return LPResult("infeasible")
-        c = [Fraction(v) for v in c]
-        if maximize:
-            c = [-v for v in c]
+        c, d = _integer_row(c)
         n = len(c)
         basis = list(self.basis)
-        obj, _ = _integer_row(c + [ZERO])
+        obj = ([-v for v in c] if maximize else list(c)) + [0]
         for row, bv in zip(self.rows, basis):
             f = obj[bv]
             if f:
@@ -294,13 +300,15 @@ class Polyhedron:
         T = _tableau(self.rows + [_primitive(obj)])
         if _simplex(T, basis, n) == "unbounded":
             return LPResult("unbounded")
-        rows = T.tolist()
         x = [ZERO] * n
-        for row, bv in zip(rows, basis):
-            x[bv] = Fraction(row[-1], row[bv])
-        value = sum(ci * xi for ci, xi in zip(c, x))
-        if maximize:
-            value = -value
+        for row, bv in zip(T.tolist(), basis):
+            if row[-1]:
+                x[bv] = Fraction(row[-1], row[bv])
+        # c . x over the lcm of the basic values' denominators
+        den = lcm(*(x[bv].denominator for bv in basis))
+        num = sum(c[bv] * x[bv].numerator * (den // x[bv].denominator)
+                  for bv in basis)
+        value = Fraction(num, den * d)
         return LPResult("optimal", value, tuple(x))
 
 

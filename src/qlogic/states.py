@@ -245,6 +245,15 @@ def reduced_space(logic: FiniteLogic) -> ReducedStateSpace:
     return ReducedStateSpace(logic)
 
 
+@derived
+def face(logic: FiniteLogic, e: int) -> rlp.Polyhedron:
+    """The face value(e) = 1 of the state polytope, with phase 1 run
+    once per logic and condition; an empty face is stored as an
+    infeasible polyhedron."""
+    space = reduced_space(logic)
+    return space.polyhedron(space.face_rows(e))
+
+
 # ---------------------------------------------------------------------------
 # state polytope
 # ---------------------------------------------------------------------------
@@ -309,8 +318,10 @@ def check_condition_F(logic: FiniteLogic) -> FaithfulnessReport:
         if res.value == 0:
             return FaithfulnessReport(holds=False, failing_element=e)
         maximizers.append(res.x)
-    m = len(maximizers)
-    avg = [sum(p[i] for p in maximizers) / m for i in range(space.k)]
+    # the average over one common denominator: integer sums per atom
+    nums, d = _common_denominator([x for p in maximizers for x in p])
+    d *= len(maximizers)
+    avg = [Fraction(sum(nums[i::space.k]), d) for i in range(space.k)]
     return FaithfulnessReport(holds=True, witness=space.state(avg))
 
 
@@ -532,15 +543,14 @@ class TransitionProbability:
 @derived
 def transition_probability(logic: FiniteLogic, f: int, e: int) -> TransitionProbability:
     """Minimize and maximize value(f) over the face value(e) = 1."""
-    space = reduced_space(logic)
-    face = space.polyhedron(space.face_rows(e))
-    obj = space.indicator(f)
-    lo = face.solve(obj)
+    on_e = face(logic, e)
+    obj = reduced_space(logic).indicator(f)
+    lo = on_e.solve(obj)
     if not lo.optimal:
         raise UndefinedTransition(
             f"no state concentrates on {logic.labels[e]!r}"
         )
-    hi = face.solve(obj, maximize=True)
+    hi = on_e.solve(obj, maximize=True)
     return TransitionProbability(
         exists=lo.value == hi.value,
         value=lo.value if lo.value == hi.value else None,
@@ -559,12 +569,12 @@ def atomic_state(logic: FiniteLogic, e: int) -> State:
     if not logic.is_atom(e):
         raise NotAnAtom(f"{logic.labels[e]!r} is not an atom")
     space = reduced_space(logic)
-    face = space.polyhedron(space.face_rows(e))
-    if not face.feasible:
+    on_e = face(logic, e)
+    if not on_e.feasible:
         raise NotUnique(
             f"no state assigns probability 1 to atom {logic.labels[e]!r}"
         )
-    p, gap = _atom_ranges(space, face)
+    p, gap = _atom_ranges(space, on_e)
     if gap is not None:
         i, lo, hi = gap
         raise NotUnique(

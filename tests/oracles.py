@@ -17,6 +17,7 @@ from qlogic.morphisms import Automorphism, dual_state
 from qlogic.rational_lp import LPResult, Polyhedron
 from qlogic.states import (
     StrongStateSpaceReport,
+    TransitionProbability,
     _conditional_rows,
     atomic_state,
     reduced_space,
@@ -270,6 +271,24 @@ def uniqueness_gap(space, e):
         if res.optimal and res.value > 0:
             return space.state(res.x[:k]), space.state(res.x[k:])
     return None
+
+
+def transition_per_call(logic, f, e):
+    """P(f|e) as ``states.transition_probability`` computed it before
+    faces were stored: a new face polyhedron value(e) = 1, with its own
+    phase 1, for every call; None when no state concentrates on e."""
+    space = reduced_space(logic)
+    face = Polyhedron(*space.system(space.face_rows(e)))
+    obj = space.indicator(f)
+    lo = face.solve(obj)
+    if not lo.optimal:
+        return None
+    hi = face.solve(obj, maximize=True)
+    return TransitionProbability(
+        exists=lo.value == hi.value,
+        value=lo.value if lo.value == hi.value else None,
+        low=lo.value, high=hi.value,
+    )
 
 
 def strong_state_space(logic, budget=100_000):

@@ -162,12 +162,20 @@ def test_polyhedron_matches_vertex_enumeration(system):
 
 _rational = st.sampled_from(sorted({F(p, q) for p in range(-3, 4)
                                    for q in range(1, 5)}))
+_integer = st.integers(-3, 3)
+
+
+def _objectives(n):
+    """Objectives of n ``Fraction``s, of n Python ints, or of both."""
+    return st.one_of(*(st.lists(entry, min_size=n, max_size=n) for entry in
+                       (_rational, _integer, st.one_of(_rational, _integer))))
 
 
 def _rational_systems():
-    """Rational systems with redundant rows appended, plus objectives.
-    Half of them are consistent by construction (b = A x0 for some
-    x0 >= 0); their right-hand sides may still be negative."""
+    """Rational systems with redundant rows appended, plus objectives
+    of Fractions, of Python ints, or of both.  Half of the systems are
+    consistent by construction (b = A x0 for some x0 >= 0); their
+    right-hand sides may still be negative."""
     def build(n, base, x0, consistent, scale, pick, objectives):
         A = [row for row, _ in base]
         b = [sum((a * x for a, x in zip(row, x0)), F(0)) if consistent else rhs
@@ -183,7 +191,7 @@ def _rational_systems():
             st.booleans(),
             _rational.filter(bool),
             st.tuples(st.integers(0, 5), st.integers(0, 5)),
-            st.lists(vector, min_size=1, max_size=3),
+            st.lists(_objectives(n), min_size=1, max_size=3),
         )
     return st.integers(2, 5).flatmap(for_width)
 
@@ -219,6 +227,16 @@ def _assert_matches_fraction_tableau(system):
     assert all(type(v) is int for row in poly.rows for v in row)
     assert [[F(v, row[bv]) for v in row]
             for row, bv in zip(poly.rows, poly.basis)] == ref.rows
+    # the value is the objective at the optimal point, whatever the
+    # types of the objective's entries
+    for c in objectives:
+        for maximize in (False, True):
+            res = poly.solve(c, maximize)
+            if res.optimal:
+                assert type(res.value) is F
+                assert all(type(v) is F for v in res.x)
+                assert res.value == sum(F(ci) * xi
+                                        for ci, xi in zip(c, res.x))
 
 
 # re-enters an artificial column whose scale d_i is 3
@@ -314,8 +332,9 @@ def _mo3_uniqueness_gap():
 
 
 def _nonfaithful_faces():
-    # two faces with states on them and one without any
-    logic = load_fixture("nonfaithful").logic()
+    # two faces with states on them and one without any, on a fresh
+    # logic: faces are stored per logic, so a shared one may build none
+    logic = validate_logic(load_fixture("nonfaithful").logic().describe())
     f, e, g, empty = (logic.index(label) for label in
                       ("yg1m1", "yg1c1", "yg2c1", "x"))
     transition_probability(logic, f, e)

@@ -3,6 +3,7 @@ state-layer paths that read it, against the slow references in
 ``oracles``."""
 
 import functools
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -12,13 +13,14 @@ from hypothesis import strategies as st
 import oracles
 from qlogic.builders import boolean_algebra, greechie, mo_logic
 from qlogic.core import validate_logic
-from qlogic.errors import QLogicError, StateInvariantError
+from qlogic.errors import QLogicError, StateInvariantError, UndefinedTransition
 from qlogic.fixtures import load_fixture
 from qlogic.states import (
     State,
     _uniqueness_gap,
     check_condition_H,
     reduced_space,
+    transition_probability,
 )
 from test_join_table import _description, _pasting_blocks
 
@@ -152,3 +154,51 @@ def test_state_check_reports_first_failing_element(name):
         with pytest.raises(StateInvariantError) as info:
             State(logic, vals)
         assert str(info.value) == _oracle_check_message(name, vals), e
+
+
+def _assert_stored_faces_match_per_call(logic, pairs):
+    # every (f, e) with one condition e reads the one stored face
+    # value(e) = 1, so later objectives run on a polyhedron earlier
+    # solves have used; returns how many of the transitions are defined
+    defined = 0
+    for f, e in pairs:
+        want = oracles.transition_per_call(logic, f, e)
+        if want is None:
+            with pytest.raises(UndefinedTransition):
+                transition_probability(logic, f, e)
+        else:
+            assert transition_probability(logic, f, e) == want, (f, e)
+            defined += 1
+    return defined
+
+
+@pytest.mark.parametrize("name", ["MO3", "prod22-ambient"])
+def test_stored_faces_match_per_call_faces_on_all_pairs(name):
+    logic = _logic(name)
+    _assert_stored_faces_match_per_call(
+        logic, [(f, e) for e in range(logic.n) for f in range(logic.n)])
+
+
+def test_stored_faces_match_per_call_faces_on_nonfaithful():
+    logic = _logic("nonfaithful")
+    rng = random.Random("nonfaithful-faces")
+    # five conditions with states on their faces and one without any
+    conditions = rng.sample(range(logic.n), 5) + [logic.index("x")]
+    pairs = [(f, e) for e in conditions
+             for f in rng.sample(range(logic.n), 5)]
+    assert oracles.transition_per_call(logic, *pairs[-1]) is None
+    assert _assert_stored_faces_match_per_call(logic, pairs) >= 5
+
+
+@given(_pasting_blocks())
+@settings(max_examples=25, deadline=None)
+def test_stored_faces_match_per_call_faces_on_pastings(blocks):
+    desc = _description(blocks)
+    if desc is None:
+        return
+    try:
+        logic = validate_logic(desc)
+    except QLogicError:
+        return
+    _assert_stored_faces_match_per_call(
+        logic, [(f, e) for e in range(logic.n) for f in range(logic.n)])

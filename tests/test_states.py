@@ -1,5 +1,6 @@
 """State polytopes, the three state-space conditions, conditionals."""
 
+import json
 from fractions import Fraction as F
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import classical_cross_check, enumerate_vertices_dd
+from qlogic import cli
 from qlogic import rational_lp as rlp
 from qlogic.builders import boolean_algebra, mo_logic, nonfaithful_logic, stateless_logic
 from qlogic.core import validate_logic
@@ -291,8 +293,8 @@ def test_transition_reflexive(b3, mo2):
 
 
 def test_one_polyhedron_per_face(monkeypatch):
-    # phase 1 runs once per constraint system, however many objectives
-    # are asked of it
+    # phase 1 runs once per constraint system and logic, however many
+    # objectives are asked of it and by however many calls
     built, solved = [], []
 
     class Counting(rlp.Polyhedron):
@@ -312,7 +314,28 @@ def test_one_polyhedron_per_face(monkeypatch):
     assert (len(built), len(solved)) == (1, 2)
     with pytest.raises(NotUnique):
         atomic_state(logic, a)  # the value of b ranges over [0, 1]
-    assert (len(built), len(solved)) == (2, 8)
+    # the face value(a) = 1 built for the transition is read again
+    assert (len(built), len(solved)) == (1, 8)
+
+
+def test_lemma2_sweep_builds_one_face_per_condition(monkeypatch, tmp_path,
+                                                    capsys):
+    # the sweep asks 1,074 ambient and factor transitions of a composite
+    # read cold; each distinct face system runs phase 1 once
+    built = []
+
+    class Counting(rlp.Polyhedron):
+        def __init__(self, A, b):
+            built.append((tuple(map(tuple, A)), tuple(b)))
+            super().__init__(A, b)
+
+    path = str(tmp_path / "prod33.json")
+    assert cli.main(["fixture", "export", "prod33", path]) == 0
+    monkeypatch.setattr(rlp, "Polyhedron", Counting)
+    capsys.readouterr()
+    assert cli.main(["lemma2", path, "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["tuples_checked"] == 1444
+    assert len(built) == len(set(built)) == 57
 
 
 def test_transition_examples_on_powerset(b3):
