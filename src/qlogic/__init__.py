@@ -45,8 +45,6 @@ from .composite import (
 from .core import (
     FiniteLogic,
     LogicDescription,
-    load_logic,
-    save_logic,
     validate_logic,
 )
 from .fixtures import fixture_names, load_fixture, verify_fixture

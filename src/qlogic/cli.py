@@ -64,11 +64,19 @@ from .states import (
 )
 
 
-def _transition_or_none(logic, f, e):
-    try:
-        return transition_probability(logic, f, e)
-    except UndefinedTransition:
-        return None
+def _defined_transitions(logic, conditions):
+    """The pairs (e, f), e in ``conditions`` and f any element, whose
+    transition probability P(f|e) exists, in row-major order."""
+    pairs = []
+    for e in conditions:
+        for f in range(logic.n):
+            try:
+                tp = transition_probability(logic, f, e)
+            except UndefinedTransition:
+                continue
+            if tp.exists:
+                pairs.append((e, f))
+    return pairs
 
 
 # ---------------------------------------------------------------------------
@@ -356,14 +364,9 @@ def _cmd_lemma1(args):
     if args.e1 is not None and args.e2 is not None:
         pairs = [(source.index(args.e1), source.index(args.e2))]
     else:
-        pairs = []
-        for e1 in range(source.n):
-            if mor.map[e1] == target.zero:
-                continue
-            for e2 in range(source.n):
-                tp = _transition_or_none(source, e2, e1)
-                if tp is not None and tp.exists:
-                    pairs.append((e1, e2))
+        pairs = _defined_transitions(
+            source, [e1 for e1 in range(source.n)
+                     if mor.map[e1] != target.zero])
     try:
         for e1, e2 in pairs:
             rep = check_lemma1a(mor, e1, e2)
@@ -393,12 +396,7 @@ def _cmd_lemma2(args):
         e1, e2, f1, f2 = (factor.index(lbl) for lbl in args.events)
         tuples = [(e1, e2, f1, f2)]
     else:
-        defined = []
-        for a in range(factor.n):
-            for b in range(factor.n):
-                tp = _transition_or_none(factor, b, a)
-                if tp is not None and tp.exists:
-                    defined.append((a, b))
+        defined = _defined_transitions(factor, range(factor.n))
         tuples = [(e1, e2, f1, f2)
                   for e1, e2 in defined for f1, f2 in defined]
     try:

@@ -92,25 +92,15 @@ def boolean_product(factor: FiniteLogic) -> CompositeLogic:
     ]
     ambient = validate_logic(boolean_algebra(k * k, atom_names=names))
     mask_index = ambient._mask_index
-
-    def row_mask(e):
-        m = 0
-        for i, a in enumerate(atoms):
-            if factor.leq[a, e]:
-                for j in range(k):
-                    m |= 1 << (i * k + j)
-        return m
-
-    def col_mask(e):
-        m = 0
-        for j, b in enumerate(atoms):
-            if factor.leq[b, e]:
-                for i in range(k):
-                    m |= 1 << (i * k + j)
-        return m
-
-    map1 = [mask_index[row_mask(e)] for e in range(factor.n)]
-    map2 = [mask_index[col_mask(e)] for e in range(factor.n)]
+    # ambient atom (i, j) is bit i k + j; bit i of a factor mask is atom i:
+    # e x 1 takes the whole row i for each atom i below e, 1 x e takes the
+    # mask of e in every row
+    full = (1 << k) - 1
+    map1, map2 = [], []
+    for m in factor.atom_masks:
+        map1.append(mask_index[sum(full << i * k for i in range(k)
+                                   if m >> i & 1)])
+        map2.append(mask_index[sum(m << i * k for i in range(k))])
     return make_composite(factor, ambient, map1, map2)
 
 

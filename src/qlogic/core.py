@@ -521,15 +521,3 @@ def _check_axioms_cde(logic: FiniteLogic) -> None:
             f"{labels[f]!r} v ({labels[e]!r} ^ {labels[ortho[f]]!r}) "
             f"is {got}, expected {labels[e]!r}",
         )
-
-
-def load_logic(path) -> LogicDescription:
-    """Read a logic interchange file (UTF-8 JSON)."""
-    with open(path, encoding="utf-8") as fh:
-        return LogicDescription.from_json(fh.read())
-
-
-def save_logic(desc: LogicDescription, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(desc.to_json())
-        fh.write("\n")

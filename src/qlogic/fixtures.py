@@ -32,7 +32,7 @@ from .states import (
     check_condition_F,
     check_condition_G,
     check_condition_H,
-    reduced_space,
+    face,
 )
 
 def _read_data_json(fname: str) -> dict:
@@ -124,7 +124,7 @@ _DEEP = {
     "G": lambda logic: check_condition_G(logic).holds,
     "H": lambda logic: check_condition_H(logic).holds,
     "aut_order": lambda logic: len(automorphisms(logic)),
-    "empty_state_space": lambda logic: not reduced_space(logic).feasible(),
+    "empty_state_space": lambda logic: not face(logic).feasible,
 }
 
 

@@ -48,9 +48,6 @@ class Morphism:
     def is_injective(self) -> bool:
         return len(set(self.map)) == len(self.map)
 
-    def image(self):
-        return tuple(sorted(set(self.map)))
-
 
 @dataclass(frozen=True)
 class Automorphism(Morphism):

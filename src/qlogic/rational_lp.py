@@ -4,7 +4,8 @@ A small dense two-phase simplex with Bland's anti-cycling rule for
 polyhedra in standard form {x >= 0, A x = b}.  ``Polyhedron`` runs phase
 1 once per constraint system and answers any number of objectives from
 the feasible basis it finds; ``enumerate_vertices_basis`` lists the
-vertices by exhaustive basis enumeration over the same phase-1 rows.
+vertices of a ``Polyhedron`` by exhaustive basis enumeration over its
+canonical rows, so it runs no phase 1 of its own.
 
 The tableau is fraction-free (Bareiss 1968): each row is a primitive
 integer vector (divided by the gcd of its entries after every pivot)
@@ -53,17 +54,19 @@ _ARRAY_CELLS = 256
 # over four of them stays below 2^63
 _INT64_BOUND = 1 << 31
 
+_numerator = attrgetter("numerator")
 _denominator = attrgetter("denominator")
+_EXACT = frozenset((int, Fraction))
 
 
 def _integer_row(values):
     """Rationals scaled by the lcm d of their denominators: (ints, d).
-    Python ints and Fractions are read as they are."""
-    values = [v if type(v) is int or isinstance(v, Fraction) else Fraction(v)
-              for v in values]
+    Python ints and Fractions are read as they are (``numerator``, not
+    ``int()``, which is a Python-level call on a Fraction)."""
+    values = [v if type(v) in _EXACT else Fraction(v) for v in values]
     d = lcm(*map(_denominator, values))
     if d == 1:
-        return list(map(int, values)), 1
+        return list(map(_numerator, values)), 1
     return [v.numerator * (d // v.denominator) for v in values], d
 
 
@@ -225,16 +228,17 @@ def _simplex(T, basis, ncols):
 class Polyhedron:
     """{x >= 0, A x = b} with phase 1 of the simplex run once.
 
-    If ``feasible``, ``rows`` (integer coefficients, then right-hand
-    side, each row a primitive vector equal to the rational canonical
-    row up to a positive scale) and ``basis`` are a feasible canonical
-    form without redundant rows, and each ``solve`` runs phase 2 from a
-    copy of them.  Phase 1 reads no objective, so ``solve`` equals a
-    fresh two-phase solve.
+    ``n`` is the number of columns.  If ``feasible``, ``rows`` (integer
+    coefficients, then right-hand side, each row a primitive vector
+    equal to the rational canonical row up to a positive scale) and
+    ``basis`` are a feasible canonical form without redundant rows, and
+    each ``solve`` runs phase 2 from a copy of them.  Phase 1 reads no
+    objective, so ``solve`` equals a fresh two-phase solve.
     """
 
     def __init__(self, A, b):
         m, n = len(A), len(A[0]) if A else 0
+        self.n = n
 
         # phase 1: row i is the input row times the lcm d_i of its
         # denominators, sign-normalised, with d_i in its artificial column
@@ -301,14 +305,15 @@ class Polyhedron:
         if _simplex(T, basis, n) == "unbounded":
             return LPResult("unbounded")
         x = [ZERO] * n
+        live = []  # the basic variables with a nonzero value
         for row, bv in zip(T.tolist(), basis):
             if row[-1]:
                 x[bv] = Fraction(row[-1], row[bv])
-        # c . x over the lcm of the basic values' denominators
-        den = lcm(*(x[bv].denominator for bv in basis))
-        num = sum(c[bv] * x[bv].numerator * (den // x[bv].denominator)
-                  for bv in basis)
-        value = Fraction(num, den * d)
+                live.append(bv)
+        # c . x over the lcm of the nonzero values' denominators
+        nums, den = _integer_row([x[bv] for bv in live])
+        value = Fraction(sum(map(mul, map(c.__getitem__, live), nums)),
+                         den * d)
         return LPResult("optimal", value, tuple(x))
 
 
@@ -331,18 +336,17 @@ def _solve_square(cols_matrix, rhs):
     return [Fraction(mat[i][n], mat[i][i]) for i in range(n)]
 
 
-def enumerate_vertices_basis(A, b, budget=100_000):
-    """All vertices of {x >= 0, A x = b} by exhaustive basis enumeration.
+def enumerate_vertices_basis(poly: Polyhedron, budget=100_000):
+    """All vertices of ``poly`` by exhaustive basis enumeration.
 
     Distinct basic feasible solutions, sorted lexicographically.  Raises
     ``VertexBudgetExceeded`` when more candidate bases than ``budget``
     would have to be examined.
     """
-    n = len(A[0]) if A else 0
-    poly = Polyhedron(A, b)
     if not poly.feasible:
         return []
-    # the phase-1 rows are independent and cut out the same polyhedron
+    # the canonical rows are independent and cut out the same polyhedron
+    n = poly.n
     A = [row[:-1] for row in poly.rows]
     b = [row[-1] for row in poly.rows]
     r = len(A)

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
 from operator import mul
 
 import numpy as np
@@ -84,9 +83,6 @@ class State:
         )
         return f"State({shown}{'...' if len(self.logic.atoms) > 6 else ''})"
 
-    def by_label(self) -> dict:
-        return {lbl: self.values[i] for i, lbl in enumerate(self.logic.labels)}
-
     def to_dict(self, logic_ref=None) -> dict:
         return {
             "logic": logic_ref if logic_ref is not None else self.logic.describe().to_dict(),
@@ -125,15 +121,9 @@ def _check_state(logic: FiniteLogic, vals) -> None:
                 "orthogonal atom decomposition"
             )
     # ...plus the deduplicated additivity rows give full additivity
-    nums, _ = _common_denominator(p)
+    nums, _ = rlp._integer_row(p)
     if any(sum(map(mul, row, nums)) for row in space.rows):
         raise StateInvariantError("additivity fails on an orthogonal pair")
-
-
-def _common_denominator(p):
-    """Rationals p as integers over the lcm d of their denominators."""
-    d = lcm(*(x.denominator for x in p))
-    return [x.numerator * (d // x.denominator) for x in p], d
 
 
 class ReducedStateSpace:
@@ -212,7 +202,7 @@ class ReducedStateSpace:
     def state(self, p) -> State:
         """The state with atom values p: every element's value is one
         integer product of ``counts`` with p over a common denominator."""
-        nums, d = _common_denominator(p)
+        nums, d = rlp._integer_row(p)
         # int64 holds the sums while k times the largest entry does
         fits = max(map(abs, nums), default=0) * self.k < 1 << 63
         dtype = np.int64 if fits else object
@@ -246,12 +236,12 @@ def reduced_space(logic: FiniteLogic) -> ReducedStateSpace:
 
 
 @derived
-def face(logic: FiniteLogic, e: int) -> rlp.Polyhedron:
-    """The face value(e) = 1 of the state polytope, with phase 1 run
-    once per logic and condition; an empty face is stored as an
-    infeasible polyhedron."""
+def face(logic: FiniteLogic, e: int | None = None) -> rlp.Polyhedron:
+    """The state polytope (``e`` None) or its face value(e) = 1, with
+    phase 1 run once per logic and condition; an empty polytope or face
+    is stored as an infeasible polyhedron."""
     space = reduced_space(logic)
-    return space.polyhedron(space.face_rows(e))
+    return space.polyhedron(() if e is None else space.face_rows(e))
 
 
 # ---------------------------------------------------------------------------
@@ -270,9 +260,8 @@ class StatePolytope:
 def _polytope_vertices(logic, budget=DEFAULT_VERTEX_BUDGET):
     """The extreme states, enumerated and built once per logic and
     budget."""
-    space = reduced_space(logic)
-    return tuple(map(space.state,
-                     rlp.enumerate_vertices_basis(*space.system(), budget)))
+    return tuple(map(reduced_space(logic).state,
+                     rlp.enumerate_vertices_basis(face(logic), budget)))
 
 
 @derived
@@ -305,7 +294,7 @@ def check_condition_F(logic: FiniteLogic) -> FaithfulnessReport:
     at once, so faithfulness reduces to n - 1 objectives over one system.
     """
     space = reduced_space(logic)
-    poly = space.polyhedron()
+    poly = face(logic)
     if not poly.feasible:
         raise EmptyStateSpace("no state exists, so no faithful state exists")
     maximizers = []
@@ -319,7 +308,7 @@ def check_condition_F(logic: FiniteLogic) -> FaithfulnessReport:
             return FaithfulnessReport(holds=False, failing_element=e)
         maximizers.append(res.x)
     # the average over one common denominator: integer sums per atom
-    nums, d = _common_denominator([x for p in maximizers for x in p])
+    nums, d = rlp._integer_row([x for p in maximizers for x in p])
     d *= len(maximizers)
     avg = [Fraction(sum(nums[i::space.k]), d) for i in range(space.k)]
     return FaithfulnessReport(holds=True, witness=space.state(avg))

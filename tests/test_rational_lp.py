@@ -76,7 +76,7 @@ def test_empty_system():
     # no rows and no columns: the single point x = ()
     assert solve_lp([], [], []) == solve_lp([], [], [], maximize=True)
     assert solve_lp([], [], []).value == 0
-    assert enumerate_vertices_basis([], []) == [()]
+    assert enumerate_vertices_basis(Polyhedron([], [])) == [()]
 
 
 def test_degenerate_lp_terminates():
@@ -145,8 +145,8 @@ def test_polyhedron_matches_vertex_enumeration(system):
     # differential oracle: over a polytope the optima of a linear
     # objective are attained at vertices, and it is empty iff it has none
     A, b, c = system
-    verts = enumerate_vertices_basis(A, b)
     poly = Polyhedron(A, b)
+    verts = enumerate_vertices_basis(poly)
     assert poly.feasible == bool(verts)
     if not verts:
         assert poly.solve(c).status == "infeasible"
@@ -344,8 +344,11 @@ def _nonfaithful_faces():
 
 
 def _stateless_base():
+    # on a fresh logic: the base is stored per logic, so a shared one may
+    # build none
+    logic = validate_logic(load_fixture("stateless").logic().describe())
     with pytest.raises(EmptyStateSpace):
-        check_condition_F(load_fixture("stateless").logic())
+        check_condition_F(logic)
 
 
 @pytest.mark.parametrize("run", [_mo3_base, _mo3_face, _mo3_conditional,
@@ -459,7 +462,7 @@ def test_array_kernel_returns_python_numbers():
 
 
 def test_vertices_of_probability_simplex():
-    verts = enumerate_vertices_basis([[1, 1, 1]], [1])
+    verts = enumerate_vertices_basis(Polyhedron([[1, 1, 1]], [1]))
     assert verts == [
         (F(0), F(0), F(1)),
         (F(0), F(1), F(0)),
@@ -476,26 +479,34 @@ def test_vertices_methods_agree():
         ([[1, 1, 1, 0], [0, 0, 1, 1]], [1, F(1, 2)]),
     ]
     for A, b in systems:
-        basis = enumerate_vertices_basis(A, b)
+        basis = enumerate_vertices_basis(Polyhedron(A, b))
         dd = enumerate_vertices_dd(A, b)
         assert basis == dd
 
 
 def test_vertices_with_redundant_row():
-    assert enumerate_vertices_basis([[1, 0], [0, 1], [1, 1]],
-                                    [1, 2, 3]) == [(F(1), F(2))]
+    assert enumerate_vertices_basis(Polyhedron([[1, 0], [0, 1], [1, 1]],
+                                               [1, 2, 3])) == [(F(1), F(2))]
+
+
+def test_vertices_when_every_row_is_redundant():
+    # 0 x = 0 keeps no canonical row, and the polyhedron is the orthant
+    # with its one vertex at the origin: the column count is its own
+    poly = Polyhedron([[0, 0]], [0])
+    assert poly.feasible and poly.rows == [] and poly.n == 2
+    assert enumerate_vertices_basis(poly) == [(0, 0)]
 
 
 def test_vertices_empty_when_infeasible():
-    assert enumerate_vertices_basis([[1, 1], [1, 1]], [1, 2]) == []
+    assert enumerate_vertices_basis(Polyhedron([[1, 1], [1, 1]], [1, 2])) == []
     assert enumerate_vertices_dd([[1, 1], [1, 1]], [1, 2]) == []
 
 
 def test_vertex_budget_raised():
     A = [[1] * 30]
     with pytest.raises(VertexBudgetExceeded):
-        enumerate_vertices_basis([[1] * 30, [1] + [0] * 29, [0, 1] + [0] * 28,
-                                  [0, 0, 1] + [0] * 27],
-                                 [1, 0, 0, 0], budget=10)
+        enumerate_vertices_basis(Polyhedron(
+            [[1] * 30, [1] + [0] * 29, [0, 1] + [0] * 28, [0, 0, 1] + [0] * 27],
+            [1, 0, 0, 0]), budget=10)
     with pytest.raises(VertexBudgetExceeded):
         enumerate_vertices_dd(A, [1], budget=10)

@@ -318,24 +318,63 @@ def test_one_polyhedron_per_face(monkeypatch):
     assert (len(built), len(solved)) == (1, 8)
 
 
-def test_lemma2_sweep_builds_one_face_per_condition(monkeypatch, tmp_path,
-                                                    capsys):
-    # the sweep asks 1,074 ambient and factor transitions of a composite
-    # read cold; each distinct face system runs phase 1 once
+def _record_builds(monkeypatch):
+    """The system (A, b) of every polyhedron built from here on, as
+    tuples; each build is one run of phase 1."""
     built = []
 
-    class Counting(rlp.Polyhedron):
+    class Recording(rlp.Polyhedron):
         def __init__(self, A, b):
             built.append((tuple(map(tuple, A)), tuple(b)))
             super().__init__(A, b)
 
+    monkeypatch.setattr(rlp, "Polyhedron", Recording)
+    return built
+
+
+def test_lemma2_sweep_builds_one_face_per_condition(monkeypatch, tmp_path,
+                                                    capsys):
+    # the sweep asks 1,074 ambient and factor transitions of a composite
+    # read cold; each distinct face system runs phase 1 once
     path = str(tmp_path / "prod33.json")
     assert cli.main(["fixture", "export", "prod33", path]) == 0
-    monkeypatch.setattr(rlp, "Polyhedron", Counting)
+    built = _record_builds(monkeypatch)
     capsys.readouterr()
     assert cli.main(["lemma2", path, "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["tuples_checked"] == 1444
     assert len(built) == len(set(built)) == 57
+
+
+def test_lemma3_sweep_builds_each_system_once(monkeypatch, tmp_path,
+                                              capsys):
+    # the vertex sweep's condition F and vertex enumeration read one
+    # stored base polyhedron of the ambient
+    path = str(tmp_path / "prod33.json")
+    assert cli.main(["fixture", "export", "prod33", path]) == 0
+    built = _record_builds(monkeypatch)
+    capsys.readouterr()
+    assert cli.main(["lemma3", path, "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["holds"]
+    assert len(built) == len(set(built)) == 13
+
+
+def test_condition_F_and_vertices_build_the_base_once(monkeypatch):
+    logic = validate_logic(mo_logic(3))
+    A, b = reduced_space(logic).system()
+    built = _record_builds(monkeypatch)
+    assert check_condition_F(logic).holds
+    assert len(state_polytope(logic).vertices) == 8
+    assert built == [(tuple(map(tuple, A)), tuple(b))]
+
+
+def test_empty_state_space_is_stored_not_raised_from_the_cache(monkeypatch):
+    # each call raises, and the infeasible base is read the second time
+    logic = validate_logic(stateless_logic())
+    built = _record_builds(monkeypatch)
+    for _ in range(2):
+        with pytest.raises(EmptyStateSpace):
+            check_condition_F(logic)
+    assert len(built) == 1
 
 
 def test_transition_examples_on_powerset(b3):
