@@ -22,6 +22,7 @@ import inspect
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -128,8 +129,9 @@ class LogicDescription:
     @classmethod
     def from_dict(cls, data: dict) -> "LogicDescription":
         try:
-            pairs = [list_of(p, int, "le pair")
-                     for p in list_of(data["le"], list, "le")]
+            pairs = list_of(data["le"], list, "le")
+            # every entry of every pair in one pass; unpacking comes later
+            list_of(list(chain.from_iterable(pairs)), int, "le pair")
             zero, one = list_of([data["zero"], data["one"]], int,
                                 "zero and one")
             return cls(

@@ -7,29 +7,39 @@ the feasible basis it finds; ``enumerate_vertices_basis`` lists the
 vertices of a ``Polyhedron`` by exhaustive basis enumeration over its
 canonical rows, so it runs no phase 1 of its own.
 
-The tableau is fraction-free (Bareiss 1968): each row is a primitive
-integer vector (divided by the gcd of its entries after every pivot)
-that equals the rational tableau row up to a positive scale, so a basic
-value is ``row[-1] / row[basis[i]]``.  Signs and ratio comparisons, and
-with them every pivot choice, are those of the rational tableau.
-Constraint rows and objectives alike are read as integer rows over the
-lcm of their denominators (ints and ``Fraction``s pass through as they
-are), so ``fractions.Fraction`` appears only at the boundary: reading a
-rational input and building results, where an objective value is one
-``Fraction`` of an integer sum.  There is no floating point in this
-module.
+The tableau is fraction-free (Bareiss 1968): each row is an integer
+vector that equals the rational tableau row up to a positive scale, so a
+basic value is ``row[-1] / row[basis[i]]``.  Signs and ratio
+comparisons, and with them every pivot choice, are those of the rational
+tableau whatever the scales.  Constraint rows and objectives alike are
+read as integer rows over the lcm of their denominators (ints and
+``Fraction``s pass through as they are), so ``fractions.Fraction``
+appears only at the boundary: reading a rational input and building
+results, where an objective value is one ``Fraction`` of an integer sum.
+``Polyhedron.rows`` are primitive (the gcd of each row is 1).  There is
+no floating point in this module.
 
-A tableau of at least ``_ARRAY_CELLS`` cells is a 2-D numpy integer
-array, and a pivot on it is one rank-1 update of the rows it changes,
-``T <- p T - outer(T[:, col], T[r])``, each row then divided by the gcd
-of its entries.  Smaller tableaux are lists of Python-int rows updated
-one row at a time, which is faster at that size.  The array is int64
-while every entry is below 2^31 in magnitude, which keeps ``p a - f v``
-below 2^63; the bound is checked exactly after every update, and the
-first entry beyond it moves the array to ``dtype=object`` (Python ints)
-for the rest of the solve, so no entry wraps around.  Both kernels give
-the same integer rows, and Bland's rule and the ratio test read them as
-Python ints, so the size rule changes no pivot.
+Phase 1 reads ``(A | b)`` as one integer array and builds its tableau
+(sign-normalised rows, the artificial diagonal and the objective row)
+with array operations; only rows that hold a ``Fraction`` are scaled
+one by one.  A tableau of at least ``_ARRAY_CELLS`` cells stays a 2-D
+numpy integer array, and a pivot on it is one rank-1 update of the rows
+it changes, ``T <- p T - outer(T[:, col], T[r])``, on only the columns
+where ``T[r]`` is nonzero when ``p`` is 1.  Smaller tableaux are lists
+of Python-int rows (``.tolist()`` of the same array), updated one row at
+a time and divided by their gcd after every pivot, which is faster at
+that size.  The array is int64 while every entry is below 2^31 in
+magnitude, which keeps ``p a - f v`` below 2^63.  A changed array row is
+divided by the gcd of its entries only once a changed entry reaches
+``_REDUCE_AT`` (2^20), and before the bound is checked; the bound is
+checked exactly on the tableau as built and on every reduced row, and
+the first entry beyond it moves the array to ``dtype=object`` (Python
+ints) for the rest of the solve, so no entry wraps around.  A row left
+unreduced has every entry below 2^31, and so has its primitive form, and
+a reduced row is primitive: the array leaves int64 at the pivot where
+rows kept primitive after every pivot would, and not earlier.  Bland's
+rule and the ratio test read Python ints, so neither the size rule nor
+the gcd threshold changes a pivot.
 """
 
 from __future__ import annotations
@@ -53,6 +63,9 @@ _ARRAY_CELLS = 256
 # int64 storage holds entries below 2^31 in magnitude, so that p a - f v
 # over four of them stays below 2^63
 _INT64_BOUND = 1 << 31
+# an array tableau row is made primitive once an entry reaches this
+# magnitude; below it, the gcd costs more than the growth it saves
+_REDUCE_AT = 1 << 20
 
 _numerator = attrgetter("numerator")
 _denominator = attrgetter("denominator")
@@ -120,23 +133,17 @@ class _ArrayTableau:
     """The same tableau as a 2-D numpy integer array, for large systems.
 
     Storage is int64 while every entry is below 2^31 in magnitude and
-    Python ints (``dtype=object``) from the first pivot that leaves an
-    entry beyond it; the update rule is the same for both.
+    Python ints (``dtype=object``) from the first pivot that leaves a
+    reduced row beyond it; the update rule is the same for both.
     """
 
     __slots__ = ("a",)
 
     def __init__(self, rows):
-        try:
-            a = np.array(rows, dtype=np.int64)
-        except OverflowError:
-            a = None
-        if a is None or _beyond_int64_bound(a):
-            a = np.array(rows, dtype=object)
-        self.a = a
+        self.a = _int_array(rows)
 
     def entering(self, ncols):
-        neg = np.flatnonzero(self.a[-1, :ncols] < 0)
+        neg = (self.a[-1, :ncols] < 0).nonzero()[0]
         return int(neg[0]) if neg.size else None
 
     def column(self, j):
@@ -150,34 +157,60 @@ class _ArrayTableau:
 
     def clear_column(self, r, col):
         """``_RowTableau.clear_column`` as one rank-1 update of the rows
-        with a nonzero entry in col."""
+        with a nonzero entry in col; with p = 1 only the columns where
+        row r is nonzero change.  A changed row is divided by the gcd of
+        its entries only once a changed entry reaches ``_REDUCE_AT`` in
+        magnitude."""
         a = self.a
         if a[r, col] < 0:
             a[r] = -a[r]
         pivot_row = a[r]
-        rows = np.flatnonzero(a[:, col])
+        p = pivot_row[col]
+        rows = a[:, col].nonzero()[0]
         rows = rows[rows != r]
         if not rows.size:
             return
-        block = a[r, col] * a[rows] - a[rows, col][:, None] * pivot_row
-        g = np.gcd.reduce(block, axis=1)
-        common = g > 1
-        if common.any():
-            block[common] //= g[common, None]
-        if a.dtype != object and _beyond_int64_bound(block):
-            a = self.a = a.astype(object)
-        a[rows] = block
+        f = a[rows, col][:, None]
+        if p == 1:
+            cols = pivot_row.nonzero()[0]
+            index = rows[:, None], cols
+            block = a[index] - f * pivot_row[cols]
+        else:
+            index = rows
+            block = p * a[rows] - f * pivot_row
+        a[index] = block
+        big = rows[np.abs(block).max(axis=1) >= _REDUCE_AT]
+        if big.size:
+            reduced = a[big]
+            reduced //= np.gcd.reduce(reduced, axis=1)[:, None]
+            if a.dtype != object and _beyond_int64_bound(reduced):
+                a = self.a = a.astype(object)
+            a[big] = reduced
 
 
 def _beyond_int64_bound(a):
-    return a.max() >= _INT64_BOUND or a.min() <= -_INT64_BOUND
+    return (a.max(initial=0) >= _INT64_BOUND
+            or a.min(initial=0) <= -_INT64_BOUND)
+
+
+def _int_array(rows):
+    """Integer rows, lists or a 2-D array, as an int64 array while every
+    entry is below 2^31 in magnitude and as Python ints beyond."""
+    try:
+        a = np.asarray(rows, dtype=np.int64)
+    except OverflowError:
+        a = None
+    if a is None or _beyond_int64_bound(a):
+        a = np.array(rows, dtype=object)
+    return a
 
 
 def _tableau(rows):
-    """Rows of Python ints as the tableau kept for their size."""
+    """Integer rows, lists or a 2-D array, as the tableau kept for their
+    size."""
     if len(rows) * len(rows[0]) >= _ARRAY_CELLS:
         return _ArrayTableau(rows)
-    return _RowTableau(rows)
+    return _RowTableau(rows if isinstance(rows, list) else rows.tolist())
 
 
 @dataclass(frozen=True)
@@ -241,24 +274,37 @@ class Polyhedron:
         self.n = n
 
         # phase 1: row i is the input row times the lcm d_i of its
-        # denominators, sign-normalised, with d_i in its artificial column
-        T, scales = [], []
-        for i in range(m):
-            row, d = _integer_row(list(A[i]) + [b[i]])
-            if row[-1] < 0:
-                row = [-v for v in row]
-            art = [0] * m
-            art[i] = d
-            T.append(row[:n] + art + row[n:])
-            scales.append(d)
-        # lcm(d) * (-(sum of the rational rows) + artificials)
-        L = lcm(*scales)
-        weights = [L // d for d in scales]
-        # (with no rows, the objective row is its right-hand side 0)
-        obj = [-sum(map(mul, weights, column)) for column in zip(*T)] or [0]
-        for i in range(m):
-            obj[n + i] += L
-        T.append(_primitive(obj))
+        # denominators, sign-normalised, with d_i in its artificial column;
+        # (A | b) is read as one integer array
+        rows = [[*row, rhs] for row, rhs in zip(A, b)]
+        M, d = np.array(rows), None
+        if M.dtype != np.int64:
+            # Fractions, floats or ints beyond int64: only the rows that
+            # hold a non-int are read over the lcm of their denominators
+            scaled = [(row, 1) if {int}.issuperset(map(type, row))
+                      else _integer_row(row) for row in rows]
+            M = _int_array([row for row, _ in scaled]).reshape(m, n + 1)
+            d = [di for _, di in scaled]
+        elif _beyond_int64_bound(M):
+            M = M.astype(object)
+        # int64 entries below 2^31 sum to the objective row exactly while
+        # lcm(d) m < 2^32
+        L = lcm(*d) if d else 1
+        if L * m >= 1 << 32:
+            M = M.astype(object)
+        neg = [i for i, v in enumerate(b) if v < 0]
+        if neg:
+            M[neg] = -M[neg]
+        T = np.zeros((m + 1, n + m + 1), dtype=M.dtype)
+        T[:m, :n], T[:m, -1] = M[:, :n], M[:, -1]
+        # the artificial diagonal T[i, n + i] = d_i
+        T.ravel()[n:m * (n + m + 2):n + m + 2] = d or 1
+        # lcm(d) * (-(sum of the rational rows) + artificials): minus the
+        # sum of the rows times lcm(d) / d_i, and 0 on the artificials
+        if d:
+            M *= np.array([L // di for di in d], dtype=M.dtype)[:, None]
+        obj = _primitive([-v for v in M.sum(axis=0).tolist()])
+        T[m, :n], T[m, -1] = obj[:n], obj[-1]
         T = _tableau(T)
         basis = [n + i for i in range(m)]
         status = _simplex(T, basis, n + m)

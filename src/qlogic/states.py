@@ -418,13 +418,12 @@ def check_condition_G(logic: FiniteLogic,
         if not logic.is_powerset:
             # on a powerset the ratio state itself is a conditional, so
             # existence never fails and only other logics need the LPs
-            for v in verts:
-                if v[e] != 0 and not space.feasible(
-                        _conditional_rows(space, v, e)):
-                    return UniqueConditionalsReport(
-                        holds=False, failure_kind="non_existent",
-                        element=e, vertex=v,
-                    )
+            v = _vertex_without_conditional(space, verts, e)
+            if v is not None:
+                return UniqueConditionalsReport(
+                    holds=False, failure_kind="non_existent",
+                    element=e, vertex=v,
+                )
         gap = _uniqueness_gap(space, e)
         if gap is not None:
             return UniqueConditionalsReport(
@@ -432,6 +431,19 @@ def check_condition_G(logic: FiniteLogic,
                 element=e, witnesses=gap,
             )
     return UniqueConditionalsReport(holds=True)
+
+
+def _vertex_without_conditional(space, verts, e):
+    """The first vertex v with v[e] != 0 that has no conditional on e,
+    or None."""
+    conditionable = (v for v in verts if v[e] != 0)
+    if space.logic.is_atom(e):
+        # the only atom below e is e itself, so every such vertex pins
+        # value(e) = 1: its system is the stored face of e
+        v = next(conditionable)
+        return None if face(space.logic, e).feasible else v
+    return next((v for v in conditionable
+                 if not space.feasible(_conditional_rows(space, v, e))), None)
 
 
 def _uniqueness_gap(space, e):

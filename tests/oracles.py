@@ -18,7 +18,10 @@ from qlogic.rational_lp import LPResult, Polyhedron
 from qlogic.states import (
     StrongStateSpaceReport,
     TransitionProbability,
+    UniqueConditionalsReport,
     _conditional_rows,
+    _polytope_vertices,
+    _uniqueness_gap,
     atomic_state,
     reduced_space,
     state_polytope,
@@ -289,6 +292,33 @@ def transition_per_call(logic, f, e):
         value=lo.value if lo.value == hi.value else None,
         low=lo.value, high=hi.value,
     )
+
+
+def unique_conditionals_per_vertex(logic, budget=100_000):
+    """Condition (G) as ``states.check_condition_G`` decided it before it
+    read the stored face of an atom: the existence test builds the
+    conditional system of every vertex v with v[e] != 0 anew, for atoms
+    as for every other element."""
+    space = reduced_space(logic)
+    verts = _polytope_vertices(logic, budget)
+    for e in range(logic.n):
+        if e == logic.zero or all(v[e] == 0 for v in verts):
+            continue
+        if not logic.is_powerset:
+            for v in verts:
+                if v[e] != 0 and not space.feasible(
+                        _conditional_rows(space, v, e)):
+                    return UniqueConditionalsReport(
+                        holds=False, failure_kind="non_existent",
+                        element=e, vertex=v,
+                    )
+        gap = _uniqueness_gap(space, e)
+        if gap is not None:
+            return UniqueConditionalsReport(
+                holds=False, failure_kind="non_unique",
+                element=e, witnesses=gap,
+            )
+    return UniqueConditionalsReport(holds=True)
 
 
 def strong_state_space(logic, budget=100_000):

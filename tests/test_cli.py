@@ -74,6 +74,26 @@ def test_transprob_json_on_array_kernel(fixture_files, capsys):
         assert ("value" in payload) == payload["exists"]
 
 
+@pytest.mark.parametrize("le, detail", [
+    ([[0, 1], [0, True]], "malformed le pair: not a list of int"),
+    ([[0, 1, 3]], None),
+])
+def test_malformed_le_pair_detail(fixture_files, capsys, tmp_path, le, detail):
+    if detail is None:
+        try:
+            _, _ = le[0]
+        except ValueError as exc:
+            detail = f"malformed logic description: {exc}"
+    with open(fixture_files["boolean2"], encoding="utf-8") as fh:
+        logic = dict(json.load(fh), le=le)
+    path = tmp_path / "logic.json"
+    path.write_text(json.dumps(logic))
+    code, out = run(capsys, "validate", str(path), "--format", "json")
+    assert code == 2
+    assert json.loads(out) == {"command": "validate", "error": "input",
+                               "detail": detail}
+
+
 def test_input_error_is_exit_2(fixture_files, capsys, tmp_path):
     code, _ = run(capsys, "validate", str(tmp_path / "missing.json"))
     assert code == 2

@@ -176,6 +176,53 @@ def test_bad_descriptions_rejected():
         LogicDescription(("a", "b"), (), (1, 0, 1), 0, 1)
 
 
+def _unpacking_message(pair):
+    """What Python says when pair is unpacked into two names."""
+    try:
+        _, _ = pair
+    except ValueError as exc:
+        return f"malformed logic description: {exc}"
+    raise AssertionError(f"{pair!r} unpacks into two")
+
+
+_NOT_INT = "malformed le pair: not a list of int"
+_B2 = {"labels": ["0", "x", "y", "1"], "le": [[0, 1], [0, 2], [1, 3], [2, 3]],
+       "ortho": [3, 2, 1, 0], "zero": 0, "one": 3}
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"le": [[0, 1], [0, True]]}, _NOT_INT),
+    ({"le": [[0, 1.0]]}, _NOT_INT),
+    ({"le": [["0", 1]]}, _NOT_INT),
+    ({"le": [[[0], 1]]}, _NOT_INT),
+    ({"le": [[0, None]]}, _NOT_INT),
+    ({"le": [(0, 1)]}, "malformed le: not a list of list"),
+    ({"le": "01"}, "malformed le: not a list of list"),
+    ({"le": [[0, 1, 2]]}, _unpacking_message([0, 1, 2])),
+    ({"le": [[0]]}, _unpacking_message([0])),
+    ({"le": [[]]}, _unpacking_message([])),
+    # every entry is checked before any pair is unpacked, and the
+    # unpacking comes after zero, one and the labels
+    ({"le": [[0], [0, True]]}, _NOT_INT),
+    ({"le": [[0, 1, 2]], "labels": "0xy1"},
+     "malformed labels: not a list of str"),
+    ({"le": [[0]], "zero": None}, "malformed zero and one: not a list of int"),
+    ({"le": [[0, True]], "zero": None}, _NOT_INT),
+    ({"le": [[0]], "ortho": [3, 2, 1, 0.0]}, _unpacking_message([0])),
+])
+def test_le_pair_messages(changes, message):
+    with pytest.raises(LogicInputError) as info:
+        LogicDescription.from_dict(dict(_B2, **changes))
+    assert str(info.value) == message
+
+
+def test_le_pairs_read_as_int_tuples():
+    desc = LogicDescription.from_dict(_B2)
+    assert desc.le_pairs == ((0, 1), (0, 2), (1, 3), (2, 3))
+    assert all(type(v) is int for pair in desc.le_pairs for v in pair)
+    assert LogicDescription.from_dict(dict(_B2, le=[])).le_pairs == ()
+
+
 # ---------------------------------------------------------------------------
 # orthogonality, suprema, atoms
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction as F
+from math import gcd, lcm
 from unittest import mock
 
 import pytest
@@ -25,6 +26,7 @@ from qlogic.states import (
     check_condition_F,
     check_condition_G,
     conditional_probability,
+    face,
     reduced_space,
     transition_probability,
 )
@@ -439,6 +441,123 @@ def test_array_kernel_moves_to_python_ints_mid_solve():
             assert s == sorted(s, key=["int64", "object"].index), seed
         assert storages[0][0] == "int64", seed
         assert storages[0][-1] == "object", seed
+
+
+def _primitive_peaks(calls):
+    """For each tableau the Fraction oracle pivots on while answering
+    calls, the largest entry of its rows in primitive integer form
+    before every pivot: the rows the integer tableau would hold if it
+    made every row primitive after every pivot."""
+    peaks = []
+    pivot = oracles._pivot
+
+    def peak(T):
+        best = 0
+        for row in T:
+            d = lcm(*(v.denominator for v in row))
+            nums = [v.numerator * (d // v.denominator) for v in row]
+            best = max(best, max(map(abs, nums)) // (gcd(*nums) or 1))
+        return best
+
+    def recording(T, basis, row, col):
+        if not peaks or peaks[-1][0] is not T:
+            peaks.append((T, []))
+        peaks[-1][1].append(peak(T))
+        pivot(T, basis, row, col)
+
+    with mock.patch.object(oracles, "_pivot", recording):
+        for A, b, objectives in calls:
+            poly = FractionPolyhedron(A, b)
+            for c, maximize in objectives:
+                poly.solve(c, maximize)
+    return [values for _, values in peaks]
+
+
+def _storage_of_primitive_rows(peaks):
+    """The storage of every pivot when the int64 bound is checked on
+    primitive rows: int64 until a row has reached 2^31, then object."""
+    out = []
+    for values in peaks:
+        gone = [v >= rlp._INT64_BOUND for v in values]
+        out.append(["object" if any(gone[:i + 1]) else "int64"
+                    for i in range(len(values))])
+    return out
+
+
+def _large_entry_calls(seed, lo, hi):
+    """Two rows of five entries of magnitude lo..hi with random signs,
+    consistent by construction, and two small objectives."""
+    rng = random.Random(seed)
+
+    def entries(lo, hi):
+        return [rng.choice((-1, 1)) * rng.randint(lo, hi) for _ in range(5)]
+
+    A = [entries(lo, hi) for _ in range(2)]
+    x0 = [rng.randint(0, 3) for _ in range(5)]
+    return [_system_with_objectives(A, x0, [entries(0, 3), entries(0, 3)])]
+
+
+def test_array_kernel_crosses_the_gcd_threshold_within_int64():
+    # entries of 2^10..2^13 make rows whose primitive form passes
+    # _REDUCE_AT but stays below 2^31: the array rows are reduced on the
+    # way, int64 holds them throughout, and the pivots and final rows
+    # are those of the Fraction tableau
+    crossed = 0
+    for seed in range(20):
+        calls = _large_entry_calls(seed, 2 ** 10, 2 ** 13)
+        with mock.patch.object(rlp, "_ARRAY_CELLS", 0):
+            _assert_same_path(calls)
+            storages = _storage(calls)
+            poly = Polyhedron(*calls[0][:2])
+        assert storages and all(s == ["int64"] * len(s)
+                                for s in storages), seed
+        assert poly.feasible and all(gcd(*row) == 1 for row in poly.rows)
+        peak = max(max(values) for values in _primitive_peaks(calls))
+        assert peak < rlp._INT64_BOUND, seed
+        crossed += peak >= rlp._REDUCE_AT
+    assert crossed == 20
+
+
+def test_array_kernel_leaves_int64_where_primitive_rows_would():
+    # rows are made primitive only past _REDUCE_AT, and always before
+    # the int64 bound is checked, so the storage of every pivot is the
+    # one that primitive rows give: entries up to 1e5 leave int64 mid
+    # solve, entries up to 2^15 on some seeds and not on others
+    left = 0
+    for seed in range(20):
+        for calls in (_large_entry_calls(seed, 2 ** 10, 2 ** 15),
+                      _large_entry_calls(seed, 1, 10 ** 5)):
+            with mock.patch.object(rlp, "_ARRAY_CELLS", 0):
+                storages = _storage(calls)
+            assert storages == _storage_of_primitive_rows(
+                _primitive_peaks(calls)), seed
+            left += any("object" in s for s in storages)
+    assert 0 < left < 40
+
+
+def test_array_kernel_reads_fraction_rows(monkeypatch):
+    # a tableau above the size rule built from rows of Fractions:
+    # conditioning on the top pins every atom to the base state's value,
+    # so the right-hand sides hold rationals such as 1/3, and the rows
+    # that hold them are read over their lcm
+    logic = load_fixture("nonfaithful").logic()
+    space = reduced_space(logic)
+    rho = face(logic).solve(space.indicator(logic.index("yg1c1")),
+                            maximize=True)
+    base = space.state(rho.x)
+    calls = _lp_calls(monkeypatch, lambda: conditional_probability(
+        logic, base, logic.one))
+    (A, b, objectives), = calls
+    assert any(type(v) is F and v.denominator > 1 for v in b)
+    assert (len(A) + 1) * (len(A) + len(A[0]) + 1) >= rlp._ARRAY_CELLS
+    assert objectives
+    _assert_same_path(calls)
+    storages = _storage(calls)
+    assert storages[0] == ["int64"] * len(storages[0])
+    poly = Polyhedron(A, b)
+    assert poly.feasible
+    assert all(type(v) is int for row in poly.rows for v in row)
+    assert all(gcd(*row) == 1 for row in poly.rows)
 
 
 def test_array_kernel_returns_python_numbers():

@@ -7,10 +7,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import classical_cross_check, enumerate_vertices_dd
+from oracles import (
+    classical_cross_check,
+    enumerate_vertices_dd,
+    unique_conditionals_per_vertex,
+)
 from qlogic import cli
 from qlogic import rational_lp as rlp
-from qlogic.builders import boolean_algebra, mo_logic, nonfaithful_logic, stateless_logic
+from qlogic.builders import (
+    boolean_algebra,
+    equality_gadget_blocks,
+    greechie,
+    mo_logic,
+    nonfaithful_logic,
+    stateless_logic,
+)
 from qlogic.core import validate_logic
 from qlogic.errors import (
     EmptyStateSpace,
@@ -253,6 +264,61 @@ def test_unique_conditionals_fail_on_mo2(mo2):
 
 def test_two_element_logic_satisfies_G(booleans):
     assert check_condition_G(booleans[1]).holds
+
+
+def _tied_pair_logic():
+    """Atoms a, b, c in one block with an equality gadget pinning
+    value(a) = value(b): a takes 1/2 at some vertex but never 1."""
+    blocks = [("a", "b", "c")] + equality_gadget_blocks("a", "b", "g")
+    return validate_logic(greechie(blocks))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: validate_logic(mo_logic(1)),
+    lambda: validate_logic(mo_logic(2)),
+    lambda: validate_logic(mo_logic(3)),
+    lambda: validate_logic(boolean_algebra(3)),
+    lambda: validate_logic(stateless_logic()),
+    _tied_pair_logic,
+])
+def test_condition_G_matches_per_vertex_existence(make):
+    # on fresh logics, so that neither side reads what the other stored
+    rep, ref = check_condition_G(make()), unique_conditionals_per_vertex(make())
+
+    def values(report):
+        states = (report.vertex, *report.witnesses)
+        return [None if s is None else s.values for s in states]
+
+    assert (rep.holds, rep.failure_kind, rep.element) == (
+        ref.holds, ref.failure_kind, ref.element)
+    assert values(rep) == values(ref)
+
+
+def test_condition_G_fails_to_exist_at_an_atom_face():
+    # no state gives a the value 1, while the first vertex with a != 0
+    # gives it 1/2: that vertex is the witness
+    logic = _tied_pair_logic()
+    a = logic.index("a")
+    rep = check_condition_G(logic)
+    assert (rep.holds, rep.failure_kind, rep.element) == (
+        False, "non_existent", a)
+    first = next(v for v in state_polytope(logic).vertices if v[a] != 0)
+    assert rep.vertex == first and first[a] == F(1, 2)
+
+
+def test_condition_G_reads_the_stored_atom_face(monkeypatch):
+    # on MO3 the existence test for atom a asked the face value(a) = 1
+    # once per vertex with a != 0 (6 builds of 3 systems); it now reads
+    # the stored face, next to the base and the gap system
+    logic = validate_logic(mo_logic(3))
+    space = reduced_space(logic)
+    a = logic.index("a")
+    built = _record_builds(monkeypatch)
+    rep = check_condition_G(logic)
+    assert (rep.failure_kind, rep.element) == ("non_unique", a)
+    assert len(built) == len(set(built)) == 3
+    face_a = space.system(space.face_rows(a))
+    assert (tuple(map(tuple, face_a[0])), tuple(face_a[1])) in built
 
 
 def test_strong_state_space_on_fixtures(booleans, mo_logics):
