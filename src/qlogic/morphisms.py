@@ -3,17 +3,19 @@
 A morphism preserves order, orthocomplement and the unit; its dual pulls
 states on the target back to states on the source.  Every validated
 logic is atomistic, so an automorphism is determined by where it sends
-the atoms.  The search is an iterative depth-first walk over atom images
-in lexicographic order; an image is admitted by one bitmask test of its
-orthogonal atoms against the images already used.  The complete atom
-bijections are extended through the atom masks a block at a time, in one
-numpy pass per block, so enumeration costs roughly its output.
+the atoms.  The search walks atom images depth first in lexicographic
+order, a block of partial permutations per numpy pass: an image is
+admitted by one bitmask test of its orthogonal atoms against the images
+already used, for every row and candidate at once.  The budget counts
+nodes in preorder exactly as a one-node-at-a-time walk would.  Each
+block of complete atom bijections is extended through the atom masks in
+one numpy pass, so enumeration costs roughly its output.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice, permutations
+from itertools import islice, permutations, repeat
 
 import numpy as np
 
@@ -35,7 +37,7 @@ from .states import State, atomic_state, transition_probability
 DEFAULT_SEARCH_BUDGET = 2_000_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Morphism:
     source: FiniteLogic
     target: FiniteLogic
@@ -49,7 +51,7 @@ class Morphism:
         return len(set(self.map)) == len(self.map)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Automorphism(Morphism):
     inverse: tuple = ()
 
@@ -126,7 +128,8 @@ def dual_state(T: Morphism, rho: State) -> State:
 # ---------------------------------------------------------------------------
 
 # element entries (rows x logic.n) per numpy pass of ``extend_many``:
-# bounds its (rows, n) temporaries whatever the size of the logic
+# bounds its (rows, n) temporaries, and the (rows, k) candidate tests of
+# each pass of the atom search, whatever the size of the logic
 _EXTEND_ENTRIES = 1 << 15
 
 
@@ -162,7 +165,7 @@ class _AtomExtender:
         """``extend`` of every permutation in one numpy pass: an
         ``Automorphism`` or None per row."""
         logic, n = self.logic, self.logic.n
-        S = np.array(sigmas, dtype=self.dtype).reshape(len(sigmas), self.k)
+        S = np.asarray(sigmas, dtype=self.dtype).reshape(len(sigmas), self.k)
         new_masks = (1 << S) @ self.bits.T
         idx = np.searchsorted(self.sorted_masks, new_masks)
         ok = np.ones(len(S), dtype=bool)
@@ -181,9 +184,14 @@ class _AtomExtender:
         inverse = np.empty_like(tmap)
         np.put_along_axis(inverse, tmap,
                           np.broadcast_to(np.arange(n), tmap.shape), axis=1)
+        autos = list(map(Automorphism, repeat(logic), repeat(logic),
+                         map(tuple, tmap.tolist()),
+                         map(tuple, inverse.tolist())))
+        if len(rows) == len(S):
+            return autos
         out = [None] * len(S)
-        for r, m, inv in zip(rows.tolist(), tmap.tolist(), inverse.tolist()):
-            out[r] = Automorphism(logic, logic, tuple(m), tuple(inv))
+        for r, auto in zip(rows.tolist(), autos):
+            out[r] = auto
         return out
 
 
@@ -194,20 +202,12 @@ def _atom_extender(logic: FiniteLogic) -> _AtomExtender:
 
 def _iter_atom_perms(logic: FiniteLogic, budget):
     """Atom-position permutations respecting the orthogonality pattern,
-    in lexicographic order.
-
-    Depth first over the atoms in index order.  Atom i may take a free
-    image exactly when the used images orthogonal to it are the images of
-    the atoms before i that are orthogonal to i: one mask test per
-    candidate, against a mask built once per node.  Nodes are counted in
-    preorder, as each image is assigned, and the budget bounds them.
-    """
-    atoms = logic.atoms
-    k = len(atoms)
+    in lexicographic order, one tuple at a time.  Nodes are counted in
+    preorder, as each image is assigned, and the budget bounds them."""
     if logic.is_powerset:
         # all atoms are mutually orthogonal: no pruning is possible
         count = 0
-        for perm in permutations(range(k)):
+        for perm in permutations(range(len(logic.atoms))):
             count += 1
             if count > budget:
                 raise SearchBudgetExceeded(
@@ -215,51 +215,83 @@ def _iter_atom_perms(logic: FiniteLogic, budget):
                 )
             yield perm
         return
+    rows = max(1, _EXTEND_ENTRIES // len(logic.atoms))
+    for block in _atom_perm_blocks(logic, budget, rows):
+        yield from map(tuple, block.tolist())
 
+
+def _atom_perm_blocks(logic: FiniteLogic, budget, rows):
+    """``_iter_atom_perms`` as blocks of at most ``rows`` permutations:
+    lists of tuples on a powerset, (r, k) int arrays otherwise.
+
+    Depth first over the atoms in index order, a chunk of partial
+    permutations per numpy pass.  Atom d may take a free image c exactly
+    when the used images orthogonal to c are the images of the atoms
+    before d that are orthogonal to d: one mask test per row and
+    candidate.  A pass takes at most ``rows`` rows, and no more than the
+    nodes handed out so far over k, so it tests no more candidates than
+    there are nodes already found: the first permutations come after k
+    passes of a row or a few, and a consumer that stops early (a clone
+    search) pays little for the rows it never reads.
+
+    A node's children are its admitted images in increasing order, and
+    the chunks are expanded depth first, so each depth hands out its
+    ranks in lexicographic order.  The preorder index of a permutation is
+    the sum over depths of its ancestor's rank there plus one: it is
+    yielded exactly when that is within the budget.  A partial sum beyond
+    the budget prunes its node and every later one.
+    """
+    if logic.is_powerset:
+        yield from _batched(_iter_atom_perms(logic, budget), rows)
+        return
+    atoms = logic.atoms
+    k = len(atoms)
+    dtype = np.int64 if k < 63 else object
     omask = [sum(1 << j for j, b in enumerate(atoms) if logic.orthogonal(a, b))
              for a in atoms]
-    earlier = [[j for j in range(i) if omask[i] >> j & 1] for i in range(k)]
-    images = range(k)
-    sigma = [0] * k
-    used = [0] * k        # used[i]: the images of atoms 0 .. i-1, as a mask
-    todo = [None] * k     # todo[i]: the untried candidate images of atom i
-    todo[0] = iter(images)  # nothing is used yet: atom 0 takes any image
-    nodes = 0
-    i = 0
-    while i >= 0:
-        img = next(todo[i], None)
-        if img is None:
-            i -= 1
+    earlier = [np.array([j for j in range(d) if omask[d] >> j & 1],
+                        dtype=np.intp) for d in range(k)]
+    bit = np.array([1 << c for c in range(k)], dtype=dtype)
+    omask = np.array(omask, dtype=dtype)
+    seen = [0] * k  # nodes handed out at each depth so far
+    # a chunk: images (r, d) of atoms 0 .. d-1, their masks, and the
+    # partial preorder sums, rows in lexicographic order
+    stack = [(np.zeros((1, 0), dtype=np.intp), np.zeros(1, dtype=dtype),
+              np.zeros(1, dtype=np.int64))]
+    pruned = False
+    while stack:
+        images, used, pre = stack.pop()
+        step = min(rows, max(1, sum(seen) // k))
+        if len(images) > step:
+            stack.append((images[step:], used[step:], pre[step:]))
+            images, used, pre = images[:step], used[:step], pre[:step]
+        d = images.shape[1]
+        want = bit[images[:, earlier[d]]].sum(axis=1)
+        free = used[:, None] & bit == 0
+        r, c = np.nonzero(free & (used[:, None] & omask == want[:, None]))
+        pre = pre[r] + np.arange(seen[d] + 1, seen[d] + 1 + len(r))
+        seen[d] += len(r)
+        if len(r) and int(pre[-1]) > budget:
+            # this node and every one after it in preorder lie beyond
+            keep = int(np.searchsorted(pre, budget, side="right"))
+            r, c, pre = r[:keep], c[:keep], pre[:keep]
+            stack.clear()
+            pruned = True
+        images = np.column_stack((images[r], c))
+        if d + 1 == k:
+            if len(images):
+                yield images
             continue
-        nodes += 1
-        if nodes > budget:
-            raise SearchBudgetExceeded(
-                f"automorphism search visited {nodes} nodes"
-            )
-        sigma[i] = img
-        if i + 1 == k:
-            yield tuple(sigma)
-            continue
-        i += 1
-        u = used[i] = used[i - 1] | 1 << img
-        want = 0
-        for j in earlier[i]:
-            want |= 1 << sigma[j]
-        todo[i] = iter([c for c in images
-                        if not u >> c & 1 and omask[c] & u == want])
+        stack.append((images, used[r] | bit[c], pre))
+    if pruned or sum(seen) > budget:
+        raise SearchBudgetExceeded(
+            f"automorphism search visited {max(budget, 0) + 1} nodes"
+        )
 
 
-def iter_automorphisms(logic: FiniteLogic, budget=DEFAULT_SEARCH_BUDGET):
-    """Lazily enumerate the automorphism group in deterministic order.
-
-    Atom permutations are extended in blocks of about ``_EXTEND_ENTRIES``
-    element entries.  When the budget runs out inside a block, the
-    automorphisms of the permutations already drawn are yielded first,
-    so a lazy consumer sees every automorphism before the error.
-    """
-    ext = _atom_extender(logic)
-    perms = _iter_atom_perms(logic, budget)
-    rows = max(1, _EXTEND_ENTRIES // logic.n)
+def _batched(perms, rows):
+    """Lists of at most ``rows`` items of ``perms``.  When the budget runs
+    out inside a list, the items already drawn are yielded first."""
     while True:
         block, exhausted = [], None
         try:
@@ -267,13 +299,29 @@ def iter_automorphisms(logic: FiniteLogic, budget=DEFAULT_SEARCH_BUDGET):
                 block.append(sigma)
         except SearchBudgetExceeded as exc:
             exhausted = exc
-        for auto in ext.extend_many(block):
-            if auto is not None:
-                yield auto
+        if block:
+            yield block
         if exhausted is not None:
             raise exhausted
         if len(block) < rows:
             return
+
+
+def iter_automorphisms(logic: FiniteLogic, budget=DEFAULT_SEARCH_BUDGET):
+    """Lazily enumerate the automorphism group in deterministic order.
+
+    Each block of atom permutations, at most about ``_EXTEND_ENTRIES``
+    element entries, is extended as the search hands it over.  When the
+    budget runs out, the automorphisms of the permutations already found
+    are yielded first, so a lazy consumer sees every automorphism before
+    the error.
+    """
+    ext = _atom_extender(logic)
+    rows = max(1, _EXTEND_ENTRIES // logic.n)
+    for block in _atom_perm_blocks(logic, budget, rows):
+        for auto in ext.extend_many(block):
+            if auto is not None:
+                yield auto
 
 
 def automorphisms(logic: FiniteLogic, budget=DEFAULT_SEARCH_BUDGET):

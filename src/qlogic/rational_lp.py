@@ -270,19 +270,19 @@ class Polyhedron:
     """
 
     def __init__(self, A, b):
-        m, n = len(A), len(A[0]) if A else 0
-        self.n = n
+        m = len(b)
 
         # phase 1: row i is the input row times the lcm d_i of its
         # denominators, sign-normalised, with d_i in its artificial column;
-        # (A | b) is read as one integer array
-        rows = [[*row, rhs] for row, rhs in zip(A, b)]
-        M, d = np.array(rows), None
+        # (A | b), lists or an array A, is read as one integer array
+        M = np.column_stack((A, b)) if m else np.zeros((0, 1), np.int64)
+        self.n = n = M.shape[1] - 1
+        d = None
         if M.dtype != np.int64:
             # Fractions, floats or ints beyond int64: only the rows that
             # hold a non-int are read over the lcm of their denominators
             scaled = [(row, 1) if {int}.issuperset(map(type, row))
-                      else _integer_row(row) for row in rows]
+                      else _integer_row(row) for row in M.tolist()]
             M = _int_array([row for row, _ in scaled]).reshape(m, n + 1)
             d = [di for _, di in scaled]
         elif _beyond_int64_bound(M):

@@ -141,8 +141,14 @@ class ReducedStateSpace:
         self.atoms = logic.atoms
         self.k = len(self.atoms)
         self.counts = self._decompositions()
-        self.rows = self._additivity_rows()
+        additivity = self._additivity_rows()
+        self.rows = tuple(map(tuple, additivity.tolist()))
         self.norm = self.indicator(logic.one)
+        # the additivity rows and the normalization row, read by every
+        # polyhedron of this logic
+        self._base = np.concatenate(
+            (additivity, self.counts[logic.one][None]), dtype=np.int64)
+        self._base.flags.writeable = False
 
     # -- construction ---------------------------------------------------
 
@@ -183,7 +189,7 @@ class ReducedStateSpace:
         if logic.is_powerset:
             # decompositions are atom sets and orthogonal pairs are
             # disjoint unions, so every additivity row cancels exactly
-            return ()
+            return np.zeros((0, self.k), dtype=np.int8)
         join = join_table(logic).join
         counts = self.counts
         e, f = np.nonzero(np.triu(join >= 0))
@@ -192,7 +198,7 @@ class ReducedStateSpace:
         rows = rows[np.lexsort(rows.T[::-1])]  # first column first
         fresh = np.ones(len(rows), dtype=bool)
         fresh[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-        return tuple(map(tuple, rows[fresh].tolist()))
+        return rows[fresh]
 
     # -- helpers ----------------------------------------------------------
 
@@ -211,13 +217,13 @@ class ReducedStateSpace:
         return State(self.logic, [value[v] for v in sums], _checked=True)
 
     def system(self, extra=()):
-        A = [list(r) for r in self.rows]
-        b = [0] * len(self.rows)
-        A.append(list(self.norm))
-        b.append(1)
-        for coeffs, rhs in extra:
-            A.append(list(coeffs))
-            b.append(rhs)
+        """(A, b): the additivity rows, the normalization row and the
+        ``extra`` (coefficients, right-hand side) rows, with A one int64
+        array."""
+        A = self._base
+        if extra:
+            A = np.concatenate((A, [coeffs for coeffs, _ in extra]))
+        b = [0] * len(self.rows) + [1] + [rhs for _, rhs in extra]
         return A, b
 
     def polyhedron(self, extra=()) -> rlp.Polyhedron:
@@ -463,7 +469,7 @@ def _uniqueness_gap(space, e):
         return None
     A, b = [], []
     base_A, base_b = space.system(space.face_rows(e))
-    for row, rhs in zip(base_A, base_b):
+    for row, rhs in zip(base_A.tolist(), base_b):
         A += [row + [0] * k, [0] * k + row]
         b += [rhs, rhs]
     # agreement below e reduces to agreement on the atoms below e (values

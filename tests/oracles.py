@@ -144,13 +144,19 @@ def _simplex(T, basis, ncols):
         _pivot(T, basis, best_row, col)
 
 
+def _rows(A):
+    """The rows of a system matrix as lists of Python numbers: an array
+    (``ReducedStateSpace.system`` returns one) through ``tolist``."""
+    return A.tolist() if isinstance(A, np.ndarray) else A
+
+
 class FractionPolyhedron:
     """The two-phase simplex of ``rational_lp.Polyhedron`` on a
     ``Fraction`` tableau with unit artificial columns: the reference the
     fraction-free tableau must match pivot for pivot."""
 
     def __init__(self, A, b):
-        A = [[Fraction(x) for x in row] for row in A]
+        A = [[Fraction(x) for x in row] for row in _rows(A)]
         b = [Fraction(v) for v in b]
         m, n = len(A), len(A[0]) if A else 0
         T = []
@@ -254,8 +260,8 @@ def uniqueness_gap(space, e):
     logic, k = space.logic, space.k
     A, b = [], []
     base_A, base_b = space.system(space.face_rows(e))
-    for row, rhs in zip(base_A, base_b):
-        A += [list(row) + [0] * k, [0] * k + list(row)]
+    for row, rhs in zip(_rows(base_A), base_b):
+        A += [row + [0] * k, [0] * k + row]
         b += [rhs, rhs]
     free = []
     for i, a in enumerate(space.atoms):
@@ -354,7 +360,7 @@ def enumerate_vertices_dd(A, b, budget=100_000):
     equality system; starts from the unit box and cuts one halfspace at
     a time, so the variable count must stay small.
     """
-    A = [[Fraction(x) for x in row] for row in A]
+    A = [[Fraction(x) for x in row] for row in _rows(A)]
     b = [Fraction(v) for v in b]
     n = len(A[0]) if A else 0
     if n > 16:

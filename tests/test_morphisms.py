@@ -15,6 +15,7 @@ from oracles import (
     extend_one,
     order_is_mask_inclusion,
 )
+from qlogic import morphisms
 from qlogic.builders import boolean_algebra, greechie, mo_logic
 from qlogic.core import validate_logic
 from qlogic.errors import (
@@ -29,6 +30,7 @@ from qlogic.errors import (
 from qlogic.fixtures import fixture_names, load_fixture
 from qlogic.morphisms import (
     _atom_extender,
+    _atom_perm_blocks,
     _iter_atom_perms,
     automorphisms,
     check_lemma1a,
@@ -213,14 +215,34 @@ def _drain(gen):
         return items, str(exc), None
 
 
+def _drain_blocks(logic, budget, rows):
+    """(permutations, budget message or None) of the block search with
+    blocks of at most ``rows`` rows, flattened to tuples."""
+    perms = []
+    try:
+        for block in _atom_perm_blocks(logic, budget, rows):
+            assert 0 < len(block) <= rows
+            perms += map(tuple, block.tolist() if hasattr(block, "tolist")
+                         else block)
+    except SearchBudgetExceeded as exc:
+        return perms, str(exc)
+    return perms, None
+
+
 def _assert_search_and_extension_match_oracles(logic, data):
     perms, message, nodes = _drain(atom_perms_recursive(logic, 10 ** 9))
     assert message is None
     assert list(_iter_atom_perms(logic, 10 ** 9)) == perms
-    for budget in (0, 1, nodes - 1, nodes):
-        got = _drain(_iter_atom_perms(logic, budget))[:2]
-        assert got == _drain(atom_perms_recursive(logic, budget))[:2]
-        assert (got[1] is None) == (budget == nodes)
+    drawn = data.draw(st.integers(1, max(1, len(perms))), label="rows")
+    # a negative budget stops at the first node, as a budget of 0 does
+    for budget in (-1, 0, 1, nodes - 1, nodes):
+        want = _drain(atom_perms_recursive(logic, budget))[:2]
+        assert _drain(_iter_atom_perms(logic, budget))[:2] == want
+        assert (want[1] is None) == (budget == nodes)
+        # the order, the budget message and the prefix before it do not
+        # depend on where the blocks end
+        for rows in (1, 2, 3, 64, drawn):
+            assert _drain_blocks(logic, budget, rows) == want
     # random permutations mostly break orthogonality: None rows
     ext = _atom_extender(logic)
     k = len(logic.atoms)
@@ -249,6 +271,25 @@ def test_atom_search_and_block_extension_match_oracles_on_pastings(logic,
     _assert_search_and_extension_match_oracles(logic, data)
 
 
+def test_block_search_matches_oracle_on_mo5():
+    logic = validate_logic(mo_logic(5))
+    perms, _, nodes = _drain(atom_perms_recursive(logic, 10 ** 9))
+    assert len(perms) == 3840
+    for budget in (-1, 0, 1, nodes - 1, nodes):
+        want = _drain(atom_perms_recursive(logic, budget))[:2]
+        for rows in (1, 7, 4096):
+            assert _drain_blocks(logic, budget, rows) == want
+
+
+@pytest.mark.parametrize("name", ["MO6", "stateless"])
+def test_block_search_reaches_its_first_permutations_in_small_passes(name):
+    # a clone search stops at its first cloner: the passes down to the
+    # first permutations read a few rows, not blocks of thousands
+    logic = (validate_logic(mo_logic(6)) if name == "MO6"
+             else load_fixture("stateless").logic())
+    blocks = _atom_perm_blocks(logic, 10 ** 9, 4096)
+    assert max(len(next(blocks)) for _ in range(3)) < 16
+
 def test_block_extension_beyond_62_atoms():
     # object-dtype masks: the first automorphisms the search finds, and
     # random permutations
@@ -264,16 +305,35 @@ def test_block_extension_beyond_62_atoms():
     assert all(a is None for a in got[3:])
 
 
+@pytest.mark.parametrize("budget", [0, 1, 80, 300])
+def test_block_search_beyond_62_atoms(budget):
+    # object-dtype masks: the first permutations, and the prefix and
+    # message of a small budget, in blocks of a few rows
+    logic = load_fixture("stateless").logic()
+    assert len(logic.atoms) >= 63
+    first = list(islice(atom_perms_recursive(logic, 10 ** 6), 4))
+    assert list(islice(_iter_atom_perms(logic, 10 ** 6), 4)) == first
+    want = _drain(atom_perms_recursive(logic, budget))[:2]
+    assert want[1] is not None
+    for rows in (1, 3):
+        assert _drain_blocks(logic, budget, rows) == want
+
+
 @pytest.mark.parametrize("budget", [0, 1, 40, 200, 1000])
-def test_budget_exhaustion_yields_the_same_prefix(budget):
+def test_budget_exhaustion_yields_the_same_prefix(budget, monkeypatch):
     # MO4's search visits more than 1000 nodes, so every budget here runs
-    # out inside the first block of permutations
+    # out; 40 element entries make blocks of 4 rows on its 10 elements,
+    # so the larger budgets run out blocks after the first
     logic = validate_logic(mo_logic(4))
-    got = _drain(iter_automorphisms(logic, budget))
     want = _drain(automorphisms_by_oracle(logic, _atom_extender(logic),
                                           budget))
-    assert got[1] is not None
-    assert got[:2] == want[:2]
+    assert want[1] is not None
+    for entries in (morphisms._EXTEND_ENTRIES, 40):
+        monkeypatch.setattr(morphisms, "_EXTEND_ENTRIES", entries)
+        got = _drain(iter_automorphisms(logic, budget))
+        assert got[:2] == want[:2]
+        if entries == 40 and budget >= 200:
+            assert len(got[0]) > 4
 
 
 def test_extension_accepts_exactly_the_orthogonality_preserving_maps(mo2):
@@ -303,6 +363,17 @@ def test_group_axioms(b3, mo2):
             assert t.inverted().map in maps
             for u in autos[:4]:
                 assert t.compose(u).map in maps
+
+
+def test_automorphisms_are_slotted_values(mo2):
+    autos = automorphisms(mo2)
+    t = autos[1]
+    assert not hasattr(t, "__dict__")
+    # equal fields make equal, equally hashed automorphisms
+    twin = validate_automorphism(mo2, t.map)
+    assert twin == t and hash(twin) == hash(t)
+    assert t.inverted().inverted() == t
+    assert t.compose(t.inverted()).map == tuple(range(mo2.n))
 
 
 def test_atoms_map_to_atoms(b3, mo2):

@@ -385,7 +385,8 @@ def test_condition_G_on_boolean_ambient_builds_no_face(monkeypatch):
     base = reduced_space(logic).system()
     calls = _lp_calls(monkeypatch, lambda: check_condition_G(logic))
     assert check_condition_G(logic).holds
-    assert [(A, b) for A, b, _ in calls] == [base]
+    assert [(A.tolist(), b) for A, b, _ in calls] == [(base[0].tolist(),
+                                                       base[1])]
 
 
 def test_pivot_sequence_pastings_run_on_the_array_kernel(monkeypatch):
