@@ -7,10 +7,11 @@ the blank atomic state, copies the first restriction onto the second.
 The qualifying joint states are exactly the atomic states of the input
 meet atoms e ^ f, and by Lemma 1(b) the dual of an atomic state is the
 atomic state of the preimage atom.  So an automorphism clones exactly
-when its inverse maps each input meet atom e ^ f to the copied meet atom
-e ^ e, and that inverse-image criterion is how it is decided here.  The
-paper's definition, evaluated on states, is kept in the tests as the
-reference this criterion is checked against.
+when the preimage of each input meet atom e ^ f is the copied meet atom
+e ^ e.  An automorphism is a bijection, so that is read forwards here:
+it clones exactly when it sends each copied meet atom e ^ e to the input
+meet atom e ^ f.  The paper's definition, evaluated on states, is kept
+in the tests as the reference this criterion is checked against.
 """
 
 from __future__ import annotations
@@ -79,12 +80,13 @@ class CloneProblem:
 def is_cloning_transformation(problem: CloneProblem, T: Automorphism) -> bool:
     """Does the automorphism satisfy the cloning definition?
 
-    By Lemma 1(b) it does exactly when its inverse maps each input meet
-    atom e ^ f to the copied meet atom e ^ e.
+    By Lemma 1(b) it does exactly when the preimage of each input meet
+    atom e ^ f is the copied meet atom e ^ e, that is, when it sends each
+    copied meet atom to its input meet atom.
     """
     if T.source is not problem.composite.ambient:
         raise LogicInputError("automorphism does not act on the ambient logic")
-    return all(T.inverse[problem.input_atom[e]] == problem.copied_atom[e]
+    return all(T.map[problem.copied_atom[e]] == problem.input_atom[e]
                for e in problem.C)
 
 
@@ -97,7 +99,7 @@ def classical_cloner(problem: CloneProblem) -> Automorphism:
 
     Extends the atom transposition to the whole Boolean ambient through
     the atom masks.  The swap sends each copied meet atom e ^ e to the
-    input meet atom e ^ f, which is the inverse-image criterion.
+    input meet atom e ^ f, which is the cloning criterion.
     """
     comp = problem.composite
     ambient = comp.ambient
@@ -148,9 +150,9 @@ def clone_search(problem: CloneProblem,
                  budget=DEFAULT_SEARCH_BUDGET) -> CloneReport:
     """Filter the full ambient automorphism group for cloning maps.
 
-    The inverse-image criterion, read on atom positions, filters the
-    atom permutations before they are extended: each must send the
-    copied meet atom to the input meet atom.  So every permutation that
+    The cloning criterion, read on atom positions, filters the atom
+    permutations before they are extended: each must send the copied
+    meet atom to the input meet atom.  So every permutation that
     passes and extends is a cloner, and the first one is reported.
     """
     comp = problem.composite

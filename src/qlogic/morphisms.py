@@ -3,13 +3,18 @@
 A morphism preserves order, orthocomplement and the unit; its dual pulls
 states on the target back to states on the source.  Every validated
 logic is atomistic, so an automorphism is determined by where it sends
-the atoms.  The search walks atom images depth first in lexicographic
-order, a block of partial permutations per numpy pass: an image is
-admitted by one bitmask test of its orthogonal atoms against the images
-already used, for every row and candidate at once.  The budget counts
-nodes in preorder exactly as a one-node-at-a-time walk would.  Each
-block of complete atom bijections is extended through the atom masks in
-one numpy pass, so enumeration costs roughly its output.
+the atoms, and an ``Automorphism`` stores only its map: the inverse is
+read off the map when asked for.  On a powerset every atom permutation
+is an automorphism, and the search lists them with
+``itertools.permutations``; its budget counts these leaves, called
+candidates.  Otherwise the search walks atom images depth first in
+lexicographic order, a block of partial permutations per numpy pass: an
+image is admitted by one bitmask test of its orthogonal atoms against
+the images already used, for every row and candidate at once.  Its
+budget counts nodes in preorder exactly as a one-node-at-a-time walk
+would.  Each block of complete atom bijections is extended through the
+atom masks in one numpy pass, and the element maps of the block become
+one tuple each, so enumeration costs roughly its output.
 """
 
 from __future__ import annotations
@@ -53,16 +58,23 @@ class Morphism:
 
 @dataclass(frozen=True, slots=True)
 class Automorphism(Morphism):
-    inverse: tuple = ()
+    """A bijective morphism of a logic onto itself whose inverse is a
+    morphism too.  The map alone is stored: the inverse is read off it."""
+
+    @property
+    def inverse(self) -> tuple:
+        inverse = [0] * len(self.map)
+        for e, img in enumerate(self.map):
+            inverse[img] = e
+        return tuple(inverse)
 
     def inverted(self) -> "Automorphism":
-        return Automorphism(self.source, self.target, self.inverse, self.map)
+        return Automorphism(self.source, self.target, self.inverse)
 
     def compose(self, other: "Automorphism") -> "Automorphism":
         """self after other (apply other first)."""
-        m = tuple(self.map[x] for x in other.map)
-        inv = tuple(other.inverse[x] for x in self.inverse)
-        return Automorphism(self.source, self.target, m, inv)
+        return Automorphism(self.source, self.target,
+                            tuple(self.map[x] for x in other.map))
 
 
 def validate_morphism(source: FiniteLogic, target: FiniteLogic, mapping) -> Morphism:
@@ -99,11 +111,9 @@ def validate_automorphism(logic: FiniteLogic, mapping) -> Automorphism:
     mor = validate_morphism(logic, logic, mapping)
     if not mor.is_injective:
         raise NotInjective("automorphism candidate is not a bijection")
-    inverse = [0] * logic.n
-    for e, img in enumerate(mor.map):
-        inverse[img] = e
-    validate_morphism(logic, logic, inverse)  # the inverse must be a morphism too
-    return Automorphism(logic, logic, mor.map, tuple(inverse))
+    auto = Automorphism(logic, logic, mor.map)
+    validate_morphism(logic, logic, auto.inverse)  # the inverse must be a morphism too
+    return auto
 
 
 def dual_state(T: Morphism, rho: State) -> State:
@@ -167,27 +177,27 @@ class _AtomExtender:
         logic, n = self.logic, self.logic.n
         S = np.asarray(sigmas, dtype=self.dtype).reshape(len(sigmas), self.k)
         new_masks = (1 << S) @ self.bits.T
-        idx = np.searchsorted(self.sorted_masks, new_masks)
-        ok = np.ones(len(S), dtype=bool)
-        if not self.trivial:
+        if self.trivial:
+            # a powerset's masks are exactly 0 .. n-1, so a mask is its own
+            # index among the sorted masks, and every permutation extends
+            tmap = self.sort_order[new_masks]
+        else:
+            idx = np.searchsorted(self.sorted_masks, new_masks)
             inside = idx < n
             idx[~inside] = 0
             ok = inside.all(axis=1) & (
                 self.sorted_masks[idx] == new_masks).all(axis=1)
-        tmap = self.sort_order[idx]
-        if not self.trivial:
+            tmap = self.sort_order[idx]
             # order preservation is mask inclusion, which any bit
             # permutation respects; equivariance of ' still needs a check
             ok &= (tmap[:, self.ortho] == self.ortho[tmap]).all(axis=1)
-        rows = np.flatnonzero(ok)
-        tmap = tmap[rows]
-        inverse = np.empty_like(tmap)
-        np.put_along_axis(inverse, tmap,
-                          np.broadcast_to(np.arange(n), tmap.shape), axis=1)
+            rows = np.flatnonzero(ok)
+            tmap = tmap[rows]
+        # a list per element column, zipped into one tuple per row: no
+        # list is made per row
         autos = list(map(Automorphism, repeat(logic), repeat(logic),
-                         map(tuple, tmap.tolist()),
-                         map(tuple, inverse.tolist())))
-        if len(rows) == len(S):
+                         zip(*tmap.T.tolist())))
+        if len(autos) == len(S):
             return autos
         out = [None] * len(S)
         for r, auto in zip(rows.tolist(), autos):
@@ -202,8 +212,12 @@ def _atom_extender(logic: FiniteLogic) -> _AtomExtender:
 
 def _iter_atom_perms(logic: FiniteLogic, budget):
     """Atom-position permutations respecting the orthogonality pattern,
-    in lexicographic order, one tuple at a time.  Nodes are counted in
-    preorder, as each image is assigned, and the budget bounds them."""
+    in lexicographic order, one tuple at a time.
+
+    The budget bounds a count whose unit depends on the logic.  On a
+    powerset it counts leaves: complete permutations, called candidates
+    in the budget message.  Otherwise it counts nodes in preorder, one as
+    each image is assigned, as ``_atom_perm_blocks`` does."""
     if logic.is_powerset:
         # all atoms are mutually orthogonal: no pruning is possible
         count = 0
@@ -222,7 +236,9 @@ def _iter_atom_perms(logic: FiniteLogic, budget):
 
 def _atom_perm_blocks(logic: FiniteLogic, budget, rows):
     """``_iter_atom_perms`` as blocks of at most ``rows`` permutations:
-    lists of tuples on a powerset, (r, k) int arrays otherwise.
+    lists of tuples on a powerset, (r, k) int arrays otherwise.  The
+    budget counts leaves (candidates) on a powerset, whose permutations
+    come from ``_iter_atom_perms``, and preorder nodes on any other logic.
 
     Depth first over the atoms in index order, a chunk of partial
     permutations per numpy pass.  Atom d may take a free image c exactly

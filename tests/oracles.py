@@ -452,8 +452,9 @@ def definition_on_vertices(problem, T) -> bool:
 def definition_on_atomic_states(problem, T) -> bool:
     """The cloning definition on the atomic states of the input meet
     atoms: pulled back along T, each must restrict to the atomic state
-    of e on both factors.  The library decides by the inverse-image
-    criterion instead; Lemma 1(b) says the two agree."""
+    of e on both factors.  The library decides by the criterion that the
+    automorphism sends each copied meet atom to the input meet atom
+    instead; Lemma 1(b) says the two agree."""
     comp = problem.composite
     for e in problem.C:
         rho = atomic_state(comp.ambient, problem.input_atom[e])
@@ -550,10 +551,7 @@ def automorphisms_generic(logic, budget=10 ** 6):
     def backtrack(i):
         nonlocal nodes
         if i == n:
-            inverse = [0] * n
-            for x, img in enumerate(mapping):
-                inverse[img] = x
-            yield Automorphism(logic, logic, tuple(mapping), tuple(inverse))
+            yield Automorphism(logic, logic, tuple(mapping))
             return
         e = order[i]
         for img in range(n):
@@ -638,11 +636,7 @@ def extend_one(ext, sigma):
     if not ext.trivial:
         if not np.array_equal(tmap[ext.ortho], ext.ortho[tmap]):
             return None
-    inverse = np.empty(logic.n, dtype=np.int64)
-    inverse[tmap] = np.arange(logic.n)
-    return Automorphism(logic, logic,
-                        tuple(int(x) for x in tmap),
-                        tuple(int(x) for x in inverse))
+    return Automorphism(logic, logic, tuple(int(x) for x in tmap))
 
 
 def automorphisms_by_oracle(logic, ext, budget):

@@ -1,5 +1,6 @@
 """Morphism validation, dual states, automorphism groups, Lemma 1."""
 
+import dataclasses
 import random
 from fractions import Fraction as F
 from itertools import islice, permutations
@@ -17,7 +18,7 @@ from oracles import (
 )
 from qlogic import morphisms
 from qlogic.builders import boolean_algebra, greechie, mo_logic
-from qlogic.core import validate_logic
+from qlogic.core import LogicDescription, validate_logic
 from qlogic.errors import (
     NotInjective,
     NotOrderPreserving,
@@ -29,6 +30,7 @@ from qlogic.errors import (
 )
 from qlogic.fixtures import fixture_names, load_fixture
 from qlogic.morphisms import (
+    Automorphism,
     _atom_extender,
     _atom_perm_blocks,
     _iter_atom_perms,
@@ -369,11 +371,88 @@ def test_automorphisms_are_slotted_values(mo2):
     autos = automorphisms(mo2)
     t = autos[1]
     assert not hasattr(t, "__dict__")
+    # the inverse is not stored: it is read off the map
+    assert [f.name for f in dataclasses.fields(Automorphism)] == [
+        "source", "target", "map"]
     # equal fields make equal, equally hashed automorphisms
     twin = validate_automorphism(mo2, t.map)
     assert twin == t and hash(twin) == hash(t)
     assert t.inverted().inverted() == t
     assert t.compose(t.inverted()).map == tuple(range(mo2.n))
+
+
+def _assert_inverse_laws(logic, autos):
+    identity = tuple(range(logic.n))
+    for t in autos:
+        inverse = t.inverse
+        assert tuple(inverse[x] for x in t.map) == identity
+        assert tuple(t.map[x] for x in inverse) == identity
+        assert t.inverted().inverted() == t
+        twin = validate_automorphism(logic, t.map)
+        assert twin == t and hash(twin) == hash(t)
+
+
+def _some_automorphisms(logic):
+    """The first 100 automorphisms in search order, and those among 20
+    seeded random atom permutations: all of a small group, and a spread
+    of a large one."""
+    autos = list(islice(iter_automorphisms(logic), 100))
+    k = len(logic.atoms)
+    rng = random.Random(0)
+    drawn = [tuple(rng.sample(range(k), k)) for _ in range(20)]
+    return autos + [t for t in _atom_extender(logic).extend_many(drawn)
+                    if t is not None]
+
+
+_INVERSE_LOGICS = dict(_NAMED_LOGICS, MO5=mo_logic(5))
+
+
+@pytest.mark.parametrize("name",
+                         sorted(_INVERSE_LOGICS) + ["prod22", "prod33"])
+def test_inverse_read_off_the_map(name):
+    logic = (validate_logic(_INVERSE_LOGICS[name]) if name in _INVERSE_LOGICS
+             else load_fixture(name).composite().ambient)
+    autos = _some_automorphisms(logic)
+    assert autos
+    _assert_inverse_laws(logic, autos)
+
+
+@given(_pastings())
+@settings(max_examples=40, deadline=None)
+def test_inverse_read_off_the_map_on_pastings(logic):
+    assume(logic is not None)
+    _assert_inverse_laws(logic, _some_automorphisms(logic))
+
+
+@st.composite
+def _reordered_booleans(draw):
+    """A Boolean algebra on 1-5 atoms with its elements listed in a drawn
+    order, so the order of its atom masks by element index is drawn too."""
+    raw = boolean_algebra(draw(st.integers(1, 5)))
+    order = draw(st.permutations(range(len(raw.labels))))
+    new = {old: i for i, old in enumerate(order)}
+    return validate_logic(LogicDescription(
+        labels=tuple(raw.labels[old] for old in order),
+        le_pairs=tuple((new[a], new[b]) for a, b in raw.le_pairs),
+        ortho=tuple(new[raw.ortho[old]] for old in order),
+        zero_index=new[raw.zero_index],
+        one_index=new[raw.one_index],
+    ))
+
+
+@given(_reordered_booleans(), st.data())
+@settings(max_examples=40, deadline=None)
+def test_powerset_extension_matches_oracle_in_any_element_order(logic, data):
+    # a powerset's extension reads each new mask as its own index among
+    # the sorted masks; the oracle looks every mask up
+    ext = _atom_extender(logic)
+    assert ext.trivial
+    k = len(logic.atoms)
+    rows = data.draw(st.lists(st.permutations(range(k)).map(tuple),
+                              min_size=1, max_size=12))
+    got = ext.extend_many(rows)
+    assert got == [extend_one(ext, r) for r in rows]
+    assert all(t is not None for t in got)
 
 
 def test_atoms_map_to_atoms(b3, mo2):
