@@ -27,6 +27,7 @@ from .composite import (
     check_lemma2,
     check_lemma3,
     composite_from_dict,
+    lemma2_sweep,
     structural_verdicts,
 )
 from .core import LogicDescription, list_of, validate_logic
@@ -39,7 +40,6 @@ from .errors import (
     NotAPartialOrder,
     OrthoNotInvolutive,
     QLogicError,
-    UndefinedTransition,
 )
 from .fixtures import fixture_names, load_fixture
 from .morphisms import (
@@ -61,22 +61,17 @@ from .states import (
     parse_rational,
     state_polytope,
     transition_probability,
+    transitions,
 )
 
 
 def _defined_transitions(logic, conditions):
     """The pairs (e, f), e in ``conditions`` and f any element, whose
     transition probability P(f|e) exists, in row-major order."""
-    pairs = []
-    for e in conditions:
-        for f in range(logic.n):
-            try:
-                tp = transition_probability(logic, f, e)
-            except UndefinedTransition:
-                continue
-            if tp.exists:
-                pairs.append((e, f))
-    return pairs
+    conditions = np.asarray(conditions, dtype=np.intp)
+    low, high = transitions(logic, np.arange(logic.n), conditions[:, None])
+    return [(int(conditions[r]), int(f))
+            for r, f in np.argwhere(low == high).tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -392,19 +387,16 @@ def _cmd_lemma1(args):
 def _cmd_lemma2(args):
     comp = _load_composite(args.composite)
     factor = comp.factor
-    if args.events:
-        e1, e2, f1, f2 = (factor.index(lbl) for lbl in args.events)
-        tuples = [(e1, e2, f1, f2)]
-    else:
-        defined = _defined_transitions(factor, range(factor.n))
-        tuples = [(e1, e2, f1, f2)
-                  for e1, e2 in defined for f1, f2 in defined]
     try:
-        for tup in tuples:
-            check_lemma2(comp, *tup)
+        if args.events:
+            check_lemma2(comp, *(factor.index(lbl) for lbl in args.events))
+            checked = 1
+        else:
+            checked = lemma2_sweep(
+                comp, _defined_transitions(factor, range(factor.n)))
     except LemmaViolated as exc:
         return 1, {"command": "lemma2", "holds": False, "detail": str(exc)}
-    return 0, {"command": "lemma2", "holds": True, "tuples_checked": len(tuples)}
+    return 0, {"command": "lemma2", "holds": True, "tuples_checked": checked}
 
 
 def _cmd_lemma3(args):

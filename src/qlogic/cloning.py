@@ -19,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import itemgetter
 
+import numpy as np
+
 from .composite import (
     CompositeLogic,
     check_condition_I,
@@ -39,7 +41,7 @@ from .morphisms import (
     _atom_extender,
     _iter_atom_perms,
 )
-from .states import atomic_state, transition_probability
+from .states import _transition, atomic_state, transitions
 
 
 class CloneProblem:
@@ -137,13 +139,20 @@ class CloneReport:
     scanned: int = 0               # automorphism candidates examined
 
 
+def _grid(logic, atoms):
+    """The ranges of P(atoms[j] | atoms[i]) at [..., i, j], asked in one
+    ``transitions`` call, as nested lists."""
+    atoms = np.asarray(atoms)
+    return [x.tolist() for x in transitions(
+        logic, atoms[..., None, :], atoms[..., :, None])]
+
+
 def _pairwise_table(problem: CloneProblem) -> dict:
     factor = problem.composite.factor
-    table = {}
-    for e1 in problem.C:
-        for e2 in problem.C:
-            table[(e1, e2)] = transition_probability(factor, e2, e1)
-    return table
+    low, high = _grid(factor, problem.C)
+    return {(e1, e2): _transition(factor, e1, low[i][j], high[i][j])
+            for i, e1 in enumerate(problem.C)
+            for j, e2 in enumerate(problem.C)}
 
 
 def clone_search(problem: CloneProblem,
@@ -222,22 +231,27 @@ def theorem1_certificate(problem: CloneProblem,
         raise PreconditionFailed("the supplied automorphism is not a cloner")
     comp = problem.composite
     factor, ambient = comp.factor, comp.ambient
+    # every transition is gathered first, without raising; the walk
+    # below meets the pairs, and any failure, in the order of the proof
+    s_low, s_high = _grid(factor, problem.C)
+    (d_low, p_low), (d_high, p_high) = _grid(ambient, [
+        [problem.input_atom[e] for e in problem.C],
+        [problem.copied_atom[e] for e in problem.C],
+    ])
     rows = []
-    for e1 in problem.C:
-        for e2 in problem.C:
-            s = transition_probability(factor, e2, e1)
+    for i, e1 in enumerate(problem.C):
+        for j, e2 in enumerate(problem.C):
+            s = _transition(factor, e1, s_low[i][j], s_high[i][j])
             if not s.exists:
                 raise CertificateFailed(
                     f"transition between atoms {factor.labels[e1]!r}, "
                     f"{factor.labels[e2]!r} does not exist",
                     details={"pair": (e1, e2)},
                 )
-            direct = transition_probability(
-                ambient, problem.input_atom[e2], problem.input_atom[e1]
-            )
-            pulled = transition_probability(
-                ambient, problem.copied_atom[e2], problem.copied_atom[e1]
-            )
+            direct = _transition(ambient, problem.input_atom[e1],
+                                 d_low[i][j], d_high[i][j])
+            pulled = _transition(ambient, problem.copied_atom[e1],
+                                 p_low[i][j], p_high[i][j])
             ok = (direct.exists and pulled.exists
                   and direct.value == s.value
                   and pulled.value == s.value * s.value

@@ -18,6 +18,7 @@ from .builders import boolean_algebra
 from .compat import mutually_compatible, DEFAULT_NODE_BUDGET
 from .core import FiniteLogic, derived, list_of, meets, validate_logic
 from .errors import (
+    InternalInvariantError,
     LemmaViolated,
     LogicInputError,
     NoInfimum,
@@ -32,6 +33,7 @@ from .states import (
     check_condition_G,
     check_condition_H,
     transition_probability,
+    transitions,
 )
 
 
@@ -227,6 +229,39 @@ def check_lemma2(comp: CompositeLogic, e1: int, e2: int,
                      "factors": (se, sf)},
         )
     return Lemma2Report(True, (e1, e2, f1, f2), (se.value, sf.value), lhs.value)
+
+
+def lemma2_sweep(comp: CompositeLogic, pairs) -> int:
+    """``check_lemma2`` on every tuple (e1, e2, f1, f2) with (e1, e2) and
+    (f1, f2) in ``pairs``, in that order; returns the number of tuples.
+
+    The factor and the ambient transitions are asked once each for the
+    whole grid, and every tuple is compared in one array pass over the
+    embedded meets.  The first failing tuple is replayed through
+    ``check_lemma2``, so it raises what a loop over the tuples raises.
+    """
+    n = len(pairs)
+    ok = np.zeros((n, n), dtype=bool)
+    if n and check_condition_I(comp).holds:
+        E, F = np.array(pairs, dtype=np.intp).T  # P(F[i] | E[i])
+        low, high = transitions(comp.factor, F, E)
+        exists = low == high
+        i, j = np.nonzero(exists[:, None] & exists[None, :])
+        table = embedded_meets(comp)
+        m1, m2 = table[E[i], E[j]], table[F[i], F[j]]
+        have = (m1 >= 0) & (m2 >= 0)
+        i, j = i[have], j[have]
+        amb_low, amb_high = transitions(comp.ambient, m2[have], m1[have])
+        ok[i, j] = (amb_low == amb_high) & (amb_low == low[i] * low[j])
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        i, j = divmod(int(bad[0]), n)
+        check_lemma2(comp, *pairs[i], *pairs[j])
+        raise InternalInvariantError(
+            f"the Lemma 2 sweep fails tuple {(*pairs[i], *pairs[j])} "
+            "and check_lemma2 passes it"
+        )
+    return n * n
 
 
 # ---------------------------------------------------------------------------

@@ -155,16 +155,61 @@ def _bool_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def transitive_closure(n: int, pairs) -> np.ndarray:
-    """Reflexive-transitive closure of the given pairs as a bool matrix."""
-    leq = np.zeros((n, n), dtype=bool)
-    leq[np.diag_indices(n)] = True
+    """Reflexive-transitive closure of the given pairs as a bool matrix.
+
+    Each element's up-set is a Python-int bitset.  One depth-first pass
+    finds Tarjan's (1972) strongly connected components, which come out
+    sinks first, so each component's up-set is its members' bits ORed
+    with the finished up-sets that its arcs reach: O(n + pairs) big-int
+    ORs, on cyclic (invalid) input as well.
+    """
+    succ = [[] for _ in range(n)]
     for i, j in pairs:
-        leq[i, j] = True
-    while True:
-        new = leq | _bool_matmul(leq, leq)
-        if np.array_equal(new, leq):
-            return leq
-        leq = new
+        succ[i].append(j)
+    order = [0] * n   # visit number from 1; 0 while unvisited
+    low = [0] * n
+    up = [0] * n      # the finished up-set; 0 while on Tarjan's stack
+    stack = []
+    visits = 0
+    for root in range(n):
+        if order[root]:
+            continue
+        visits += 1
+        order[root] = low[root] = visits
+        stack.append(root)
+        path = [(root, iter(succ[root]))]
+        while path:
+            v, arcs = path[-1]
+            for w in arcs:
+                if not order[w]:
+                    visits += 1
+                    order[w] = low[w] = visits
+                    stack.append(w)
+                    path.append((w, iter(succ[w])))
+                    break
+                if not up[w]:
+                    low[v] = min(low[v], order[w])
+            else:
+                path.pop()
+                if path:
+                    u = path[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == order[v]:
+                    # v roots a component: every arc out of it reaches a
+                    # finished component or the component itself
+                    members, bits = [], 0
+                    while not members or members[-1] != v:
+                        members.append(stack.pop())
+                        bits |= 1 << members[-1]
+                    for m in members:
+                        for w in succ[m]:
+                            bits |= up[w]
+                    for m in members:
+                        up[m] = bits
+    width = (n + 7) // 8
+    rows = np.frombuffer(b"".join(x.to_bytes(width, "little") for x in up),
+                         dtype=np.uint8).reshape(n, width)
+    return np.unpackbits(rows, axis=1, count=n, bitorder="little").astype(bool)
 
 
 # pairs per numpy pass of ``joins``/``meets``: bounds the (pairs, n)

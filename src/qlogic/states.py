@@ -15,6 +15,13 @@ system over the atom values, which keeps even 512-element product
 algebras tractable.  ``ReducedStateSpace.counts`` holds the
 decompositions as one integer matrix: the constraint rows, the element
 values of a state and the state check all read it.
+
+On a powerset every state is a mixture of the point masses on the
+atoms, so the transition probabilities and atomic states are read off
+the order matrix there, with no LP: P(f|e) is 1 when e <= f, 0 when e
+is orthogonal to f and ranges over [0, 1] otherwise, and the atomic
+state of e is f -> [e <= f].  ``transitions`` asks a whole array of
+pairs at once, as the lemma and cloning sweeps do.
 """
 
 from __future__ import annotations
@@ -547,22 +554,74 @@ class TransitionProbability:
     high: Fraction | None = None
 
 
+# the exact values 0 and 1, indexed by a bool
+_UNIT = (Fraction(0), Fraction(1))
+
+
+def _transition(logic: FiniteLogic, e: int, low, high) -> TransitionProbability:
+    """P(f|e) from the range [low, high] of value(f) on the face
+    value(e) = 1; an empty face reads low > high and raises."""
+    if low > high:
+        raise UndefinedTransition(
+            f"no state concentrates on {logic.labels[e]!r}"
+        )
+    low, high = Fraction(low), Fraction(high)
+    return TransitionProbability(
+        exists=low == high,
+        value=low if low == high else None,
+        low=low, high=high,
+    )
+
+
 @derived
 def transition_probability(logic: FiniteLogic, f: int, e: int) -> TransitionProbability:
-    """Minimize and maximize value(f) over the face value(e) = 1."""
+    """Minimize and maximize value(f) over the face value(e) = 1; on a
+    powerset, read both off the order."""
+    if logic.is_powerset:
+        low, high = _order_range(logic, f, e)
+        return _transition(logic, e, int(low), int(high))
     on_e = face(logic, e)
     obj = reduced_space(logic).indicator(f)
     lo = on_e.solve(obj)
     if not lo.optimal:
-        raise UndefinedTransition(
-            f"no state concentrates on {logic.labels[e]!r}"
-        )
+        return _transition(logic, e, 1, 0)  # raises
     hi = on_e.solve(obj, maximize=True)
-    return TransitionProbability(
-        exists=lo.value == hi.value,
-        value=lo.value if lo.value == hi.value else None,
-        low=lo.value, high=hi.value,
-    )
+    return _transition(logic, e, lo.value, hi.value)
+
+
+def _order_range(logic: FiniteLogic, f, e):
+    """The range of value(f) on the face value(e) = 1 of a powerset, as
+    0/1 int8 arrays (or scalars): the states there mix the point masses
+    on the atoms below e, so value(f) reaches 0 unless e <= f and 1
+    unless e is orthogonal to f.  On the zero this reads 1 > 0."""
+    leq = logic.leq
+    return (leq[e, f].astype(np.int8),
+            (~leq[e, logic.ortho[f]]).astype(np.int8))
+
+
+def transitions(logic: FiniteLogic, f, e):
+    """The ranges (low, high) of P(f|e) over index arrays f and e, which
+    broadcast to one shape; exact where low == high, and an empty range
+    (low 1 > high 0) where no state concentrates on e.
+
+    A powerset reads them off its order matrix as int8 arrays; any other
+    logic asks ``transition_probability`` pair by pair and gives object
+    arrays of ``Fraction``.
+    """
+    f, e = np.broadcast_arrays(np.asarray(f, dtype=np.intp),
+                               np.asarray(e, dtype=np.intp))
+    if logic.is_powerset:
+        return _order_range(logic, f, e)
+    low = np.empty(f.shape, dtype=object)
+    high = np.empty(f.shape, dtype=object)
+    for i in np.ndindex(f.shape):
+        try:
+            tp = transition_probability(logic, int(f[i]), int(e[i]))
+        except UndefinedTransition:
+            low[i], high[i] = _UNIT[1], _UNIT[0]
+        else:
+            low[i], high[i] = tp.low, tp.high
+    return low, high
 
 
 @derived
@@ -575,6 +634,10 @@ def atomic_state(logic: FiniteLogic, e: int) -> State:
     """
     if not logic.is_atom(e):
         raise NotAnAtom(f"{logic.labels[e]!r} is not an atom")
+    if logic.is_powerset:
+        # the point mass on e
+        return State(logic, [_UNIT[x] for x in logic.leq[e].tolist()],
+                     _checked=True)
     space = reduced_space(logic)
     on_e = face(logic, e)
     if not on_e.feasible:

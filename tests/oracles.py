@@ -6,9 +6,12 @@ from itertools import permutations
 
 import numpy as np
 
+from qlogic.cloning import CertificatePair
 from qlogic.compat import is_compatible_subset
+from qlogic.core import _bool_matmul
 from qlogic.errors import (
     AxiomViolation,
+    CertificateFailed,
     EmptyStateSpace,
     SearchBudgetExceeded,
     VertexBudgetExceeded,
@@ -19,6 +22,7 @@ from qlogic.states import (
     StrongStateSpaceReport,
     TransitionProbability,
     UniqueConditionalsReport,
+    _atom_ranges,
     _conditional_rows,
     _polytope_vertices,
     _uniqueness_gap,
@@ -29,6 +33,21 @@ from qlogic.states import (
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+
+def transitive_closure_matmul(n, pairs):
+    """The reflexive-transitive closure by repeated squaring of the order
+    matrix through a float32 matmul, until nothing changes: the
+    reference for ``core.transitive_closure``."""
+    leq = np.zeros((n, n), dtype=bool)
+    leq[np.diag_indices(n)] = True
+    for i, j in pairs:
+        leq[i, j] = True
+    while True:
+        new = leq | _bool_matmul(leq, leq)
+        if np.array_equal(new, leq):
+            return leq
+        leq = new
 
 
 def find_sup(leq, e, f):
@@ -298,6 +317,50 @@ def transition_per_call(logic, f, e):
         value=lo.value if lo.value == hi.value else None,
         low=lo.value, high=hi.value,
     )
+
+
+def atomic_state_per_call(logic, e):
+    """The atomic state of e by LP on a new face polyhedron value(e) = 1:
+    each atom value minimized and maximized; None when the face is
+    empty or not a single point."""
+    space = reduced_space(logic)
+    face = Polyhedron(*space.system(space.face_rows(e)))
+    if not face.feasible:
+        return None
+    p, gap = _atom_ranges(space, face)
+    return None if gap is not None else space.state(p)
+
+
+def pairwise_table_per_call(problem):
+    """``CloneReport.pairwise``: P(e2|e1) for every pair of C, one LP
+    ``transition_per_call`` each."""
+    factor = problem.composite.factor
+    return {(e1, e2): transition_per_call(factor, e2, e1)
+            for e1 in problem.C for e2 in problem.C}
+
+
+def certificate_rows_per_call(problem, T):
+    """The rows of ``theorem1_certificate`` asked pair by pair through
+    ``transition_per_call``, raising ``CertificateFailed`` at the first
+    pair that does not square."""
+    comp = problem.composite
+    factor, ambient = comp.factor, comp.ambient
+    rows = []
+    for e1 in problem.C:
+        for e2 in problem.C:
+            s = transition_per_call(factor, e2, e1)
+            direct = transition_per_call(
+                ambient, problem.input_atom[e2], problem.input_atom[e1])
+            pulled = transition_per_call(
+                ambient, problem.copied_atom[e2], problem.copied_atom[e1])
+            if not (s.exists and direct.exists and pulled.exists
+                    and direct.value == s.value == pulled.value
+                    and pulled.value == s.value * s.value):
+                raise CertificateFailed(f"pair {(e1, e2)}")
+            rows.append(CertificatePair(
+                pair=(e1, e2), transition=s.value, direct=direct.value,
+                pulled_back=pulled.value, idempotent=s.value in (0, 1)))
+    return tuple(rows)
 
 
 def unique_conditionals_per_vertex(logic, budget=100_000):

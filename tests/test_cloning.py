@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from oracles import (
     clone_scan,
     definition_on_atomic_states,
     definition_on_vertices,
 )
+from qlogic import cloning
 from qlogic.builders import boolean_algebra, mo_logic
 from qlogic.cloning import (
     CloneProblem,
@@ -22,6 +24,7 @@ from qlogic.cloning import (
 from qlogic.composite import boolean_product, make_composite, meet_embed
 from qlogic.core import validate_logic
 from qlogic.errors import (
+    CertificateFailed,
     LogicInputError,
     PreconditionFailed,
     SearchBudgetExceeded,
@@ -258,6 +261,44 @@ def test_search_matches_oracle_scan_on_every_product_problem(prod22, prod33):
         assert report.scanned == scanned
         assert report.cloner is not None
         assert report.cloner.map == cloner.map
+
+
+def test_reports_and_certificates_match_per_pair_transitions(prod22,
+                                                            prod33):
+    # the clone path reads its transitions in one call per logic; the
+    # oracle asks each pair its own LP
+    problems = _all_problems(prod22) + _all_problems(prod33)
+    assert len(problems) == 27
+    for problem in problems:
+        report = clone_search(problem)
+        assert report.pairwise == oracles.pairwise_table_per_call(problem)
+        assert list(report.pairwise) == [(e1, e2) for e1 in problem.C
+                                         for e2 in problem.C]
+        cert = theorem1_certificate(problem, report.cloner)
+        assert cert.pairs == oracles.certificate_rows_per_call(
+            problem, report.cloner)
+
+
+def test_certificate_raises_at_the_first_failing_pair(prod33, monkeypatch):
+    # every transition is gathered before the walk; a factor range that
+    # is not a point at (c, b) and (c, c) stops the walk at (c, b)
+    factor = prod33.factor
+    a, b, c = factor.atoms
+    problem = CloneProblem(prod33, [a, b, c], a)
+    cloner = clone_search(problem).cloner
+    real = cloning.transitions
+
+    def widened(logic, f, e):
+        low, high = real(logic, f, e)
+        if logic is factor:
+            low, high = low.copy(), high.copy()
+            low[2, 1:], high[2, 1:] = 0, 1
+        return low, high
+
+    monkeypatch.setattr(cloning, "transitions", widened)
+    with pytest.raises(CertificateFailed) as info:
+        theorem1_certificate(problem, cloner)
+    assert info.value.details == {"pair": (c, b)}
 
 
 def test_clone_search_budget(prod22):

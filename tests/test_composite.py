@@ -16,6 +16,7 @@ from qlogic.composite import (
     check_lemma3,
     composite_from_dict,
     embedded_meets,
+    lemma2_sweep,
     make_composite,
     meet_embed,
 )
@@ -205,6 +206,72 @@ def test_lemma2_exhaustive_on_small_product(prod22):
         for f1, f2 in defined:
             rep = check_lemma2(prod22, e1, e2, f1, f2)
             assert rep.holds
+
+
+def _lemma2_loop(comp, pairs):
+    """``check_lemma2`` on every tuple, one at a time: the reference for
+    ``lemma2_sweep``."""
+    for e1, e2 in pairs:
+        for f1, f2 in pairs:
+            check_lemma2(comp, e1, e2, f1, f2)
+    return len(pairs) ** 2
+
+
+def _outcome(sweep, comp, pairs):
+    """The count, or the type and message of what the sweep raises."""
+    try:
+        return sweep(comp, pairs)
+    except Exception as exc:  # compared whatever it is
+        return type(exc), str(exc)
+
+
+def _b2_in_mo2():
+    # both copies send x to a and y to a': compatible images in a
+    # non-Boolean ambient, whose transitions come from LPs
+    b2, mo2 = validate_logic(boolean_algebra(2)), validate_logic(mo_logic(2))
+    image = {b2.zero: mo2.zero, b2.one: mo2.one}
+    image.update(zip(b2.atoms, (mo2.index("a"), mo2.index("a'"))))
+    maps = [image[e] for e in range(b2.n)]
+    return make_composite(b2, mo2, maps, maps)
+
+
+@pytest.mark.parametrize("name", ["prod22", "prod33"])
+def test_lemma2_sweep_counts_like_the_loop(name):
+    comp = load_fixture(name).composite()
+    pairs = defined_transition_pairs(comp.factor)
+    want = _lemma2_loop(comp, pairs)
+    assert want == {"prod22": 100, "prod33": 1444}[name]
+    assert lemma2_sweep(comp, pairs) == want
+    assert lemma2_sweep(comp, []) == 0
+
+
+def _copies_equal(name):
+    # pi1 == pi2 on a Boolean product: e ^ f' of the factor embeds as
+    # the ambient zero, on which no transition is defined
+    comp = load_fixture(name).composite()
+    return make_composite(comp.factor, comp.ambient, comp.pi1.map,
+                          comp.pi1.map)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _copies_equal("prod22"),
+    lambda: _copies_equal("prod33"),
+    # condition (I) fails
+    lambda: _identity_composite(mo_logic(2)),
+    _b2_in_mo2,
+], ids=["prod22-equal-copies", "prod33-equal-copies", "MO2-identity",
+        "B2-in-MO2"])
+def test_lemma2_sweep_raises_what_the_loop_raises(make):
+    comp = make()
+    pairs = defined_transition_pairs(comp.factor)
+    want = _outcome(_lemma2_loop, comp, pairs)
+    assert isinstance(want, tuple), "the composite must fail Lemma 2"
+    assert _outcome(lemma2_sweep, comp, pairs) == want
+    # a tuple list that stops before the first failure passes in both
+    first = next(i for i, pair in enumerate(pairs)
+                 if _outcome(_lemma2_loop, comp, pairs[:i + 1]) != (i + 1) ** 2)
+    if first:
+        assert lemma2_sweep(comp, pairs[:first]) == first ** 2
 
 
 def test_lemma2_requires_defined_transitions(prod22):

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import find_inf, find_sup
+from oracles import find_inf, find_sup, transitive_closure_matmul
 from qlogic.builders import boolean_algebra, greechie, hexagon_o6, mo_logic
 from qlogic.core import (
     LogicDescription,
@@ -20,6 +22,7 @@ from qlogic.errors import (
     NoSupremum,
     NotAPartialOrder,
     OrthoNotInvolutive,
+    QLogicError,
 )
 
 
@@ -146,6 +149,66 @@ def test_order_cycle_rejected():
     )
     with pytest.raises(NotAPartialOrder):
         validate_logic(desc)
+
+
+# ---------------------------------------------------------------------------
+# the order closure
+# ---------------------------------------------------------------------------
+
+@st.composite
+def _digraphs(draw):
+    """n elements and up to 3n arcs, self-loops and cycles included."""
+    n = draw(st.integers(1, 24))
+    arc = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    return n, draw(st.lists(arc, max_size=3 * n))
+
+
+@given(_digraphs())
+@settings(max_examples=300, deadline=None)
+def test_closure_matches_the_matmul_oracle(graph):
+    n, pairs = graph
+    leq = transitive_closure(n, pairs)
+    assert leq.dtype == bool
+    assert np.array_equal(leq, transitive_closure_matmul(n, pairs))
+
+
+@given(_digraphs())
+@settings(max_examples=100, deadline=None)
+def test_cyclic_input_reports_the_oracle_pair(graph):
+    n, pairs = graph
+    leq = transitive_closure_matmul(n, pairs)
+    sym = np.argwhere(leq & leq.T & ~np.eye(n, dtype=bool))
+    desc = LogicDescription(
+        labels=tuple(map(str, range(n))), le_pairs=tuple(pairs),
+        ortho=tuple(range(n)), zero_index=0, one_index=n - 1,
+    )
+    try:
+        validate_logic(desc)
+        raised = None
+    except QLogicError as exc:  # most of these are not orthomodular
+        raised = exc
+    if sym.size:
+        assert isinstance(raised, NotAPartialOrder)
+        assert raised.pair == tuple(sym[0].tolist())
+    else:
+        assert not isinstance(raised, NotAPartialOrder)
+
+
+def test_long_cycle_and_reversed_chain_are_rejected():
+    # the closure of a 1,024-element cycle is full; a chain listed
+    # downwards puts the declared zero at the top
+    n = 1024
+    labels = tuple(map(str, range(n)))
+    ortho = tuple(range(n - 1, -1, -1))
+    cycle = LogicDescription(labels, tuple((i, (i + 1) % n) for i in range(n)),
+                             ortho, 0, n - 1)
+    with pytest.raises(NotAPartialOrder) as info:
+        validate_logic(cycle)
+    assert info.value.pair == (0, 1)
+    chain = LogicDescription(labels, tuple((i + 1, i) for i in range(n - 1)),
+                             ortho, 0, n - 1)
+    with pytest.raises(NoBounds, match="'0' is not a minimum"):
+        validate_logic(chain)
 
 
 def test_missing_bounds_rejected():

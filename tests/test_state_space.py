@@ -6,21 +6,24 @@ import functools
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
 from qlogic.builders import boolean_algebra, greechie, mo_logic
-from qlogic.core import validate_logic
+from qlogic.core import LogicDescription, validate_logic
 from qlogic.errors import QLogicError, StateInvariantError, UndefinedTransition
 from qlogic.fixtures import load_fixture
 from qlogic.states import (
     State,
     _uniqueness_gap,
+    atomic_state,
     check_condition_H,
     reduced_space,
     transition_probability,
+    transitions,
 )
 from test_join_table import _description, _pasting_blocks
 
@@ -31,11 +34,14 @@ PENTAGON_PASTING = [("b", "d", "a"), ("g", "c", "h"), ("e", "i", "f"),
 
 
 _LOGICS = {
+    "boolean1": lambda: validate_logic(boolean_algebra(1)),
+    "boolean2": lambda: validate_logic(boolean_algebra(2)),
     "boolean3": lambda: validate_logic(boolean_algebra(3)),
     "boolean4": lambda: validate_logic(boolean_algebra(4)),
     "MO2": lambda: validate_logic(mo_logic(2)),
     "MO3": lambda: validate_logic(mo_logic(3)),
     "prod22-ambient": lambda: load_fixture("prod22").composite().ambient,
+    "prod33-ambient": lambda: load_fixture("prod33").composite().ambient,
     "pentagon-pasting": lambda: validate_logic(greechie(PENTAGON_PASTING)),
     "nonfaithful": lambda: load_fixture("nonfaithful").logic(),
 }
@@ -156,26 +162,35 @@ def test_state_check_reports_first_failing_element(name):
         assert str(info.value) == _oracle_check_message(name, vals), e
 
 
-def _assert_stored_faces_match_per_call(logic, pairs):
+def _assert_transitions_match_per_call(logic, pairs):
     # every (f, e) with one condition e reads the one stored face
-    # value(e) = 1, so later objectives run on a polyhedron earlier
-    # solves have used; returns how many of the transitions are defined
+    # value(e) = 1 (or, on a powerset, the order matrix), so later
+    # objectives run on a polyhedron earlier solves have used; the
+    # array form ``transitions`` reads an empty face as the range [1, 0].
+    # Returns how many of the transitions are defined
     defined = 0
+    want_ranges = []
     for f, e in pairs:
         want = oracles.transition_per_call(logic, f, e)
         if want is None:
             with pytest.raises(UndefinedTransition):
                 transition_probability(logic, f, e)
+            want_ranges.append((1, 0))
         else:
             assert transition_probability(logic, f, e) == want, (f, e)
+            want_ranges.append((want.low, want.high))
             defined += 1
+    f, e = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    low, high = transitions(logic, f, e)
+    assert list(zip(low.tolist(), high.tolist())) == want_ranges
     return defined
 
 
-@pytest.mark.parametrize("name", ["MO3", "prod22-ambient"])
+@pytest.mark.parametrize("name", ["MO3", "prod22-ambient", "boolean1",
+                                  "boolean2", "boolean3", "boolean4"])
 def test_stored_faces_match_per_call_faces_on_all_pairs(name):
     logic = _logic(name)
-    _assert_stored_faces_match_per_call(
+    _assert_transitions_match_per_call(
         logic, [(f, e) for e in range(logic.n) for f in range(logic.n)])
 
 
@@ -187,7 +202,7 @@ def test_stored_faces_match_per_call_faces_on_nonfaithful():
     pairs = [(f, e) for e in conditions
              for f in rng.sample(range(logic.n), 5)]
     assert oracles.transition_per_call(logic, *pairs[-1]) is None
-    assert _assert_stored_faces_match_per_call(logic, pairs) >= 5
+    assert _assert_transitions_match_per_call(logic, pairs) >= 5
 
 
 @given(_pasting_blocks())
@@ -200,5 +215,62 @@ def test_stored_faces_match_per_call_faces_on_pastings(blocks):
         logic = validate_logic(desc)
     except QLogicError:
         return
-    _assert_stored_faces_match_per_call(
+    _assert_transitions_match_per_call(
         logic, [(f, e) for e in range(logic.n) for f in range(logic.n)])
+
+
+# ---------------------------------------------------------------------------
+# powersets: transitions and atomic states read off the order
+# ---------------------------------------------------------------------------
+
+def _assert_point_masses_match_lp(logic):
+    for a in logic.atoms:
+        state = atomic_state(logic, a)
+        assert state == oracles.atomic_state_per_call(logic, a), a
+        assert all(type(v) is F for v in state.values)
+
+
+def test_powerset_transitions_match_the_lp_on_prod33_sample():
+    logic = _logic("prod33-ambient")
+    assert logic.is_powerset
+    rng = random.Random("prod33-transitions")
+    pairs = [(rng.randrange(logic.n), rng.randrange(logic.n))
+             for _ in range(2000)]
+    pairs.append((logic.one, logic.zero))  # the empty face
+    assert _assert_transitions_match_per_call(logic, pairs) > 0
+
+
+@pytest.mark.parametrize("name", ["boolean1", "boolean2", "boolean3",
+                                  "boolean4", "prod22-ambient",
+                                  "prod33-ambient"])
+def test_powerset_atomic_states_match_the_lp(name):
+    _assert_point_masses_match_lp(_logic(name))
+
+
+@st.composite
+def _shuffled_boolean_algebra(draw):
+    """``boolean_algebra(k)`` with its elements listed in a drawn order."""
+    desc = boolean_algebra(draw(st.integers(1, 4)))
+    n = len(desc.labels)
+    new = draw(st.permutations(range(n)))  # old index i -> new[i]
+    labels, ortho = [None] * n, [None] * n
+    for i in range(n):
+        labels[new[i]] = desc.labels[i]
+        ortho[new[i]] = new[desc.ortho[i]]
+    return LogicDescription(
+        labels=tuple(labels),
+        le_pairs=tuple((new[i], new[j]) for i, j in desc.le_pairs),
+        ortho=tuple(ortho),
+        zero_index=new[desc.zero_index],
+        one_index=new[desc.one_index],
+    )
+
+
+@given(_shuffled_boolean_algebra())
+@settings(max_examples=20, deadline=None)
+def test_powerset_paths_match_the_lp_in_any_element_order(desc):
+    logic = validate_logic(desc)
+    assert logic.is_powerset
+    _assert_transitions_match_per_call(
+        logic, [(f, e) for e in range(logic.n) for f in range(logic.n)])
+    _assert_point_masses_match_lp(logic)

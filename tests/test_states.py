@@ -398,30 +398,32 @@ def _record_builds(monkeypatch):
     return built
 
 
-def test_lemma2_sweep_builds_one_face_per_condition(monkeypatch, tmp_path,
-                                                    capsys):
-    # the sweep asks 1,074 ambient and factor transitions of a composite
-    # read cold; each distinct face system runs phase 1 once
+def test_lemma2_sweep_builds_no_polyhedron(monkeypatch, tmp_path, capsys):
+    # factor and ambient of prod33 are powersets, so the 1,444 tuples of
+    # a composite read cold read their transitions off the order: no
+    # phase 1 runs (57 face systems did while the sweep solved LPs)
     path = str(tmp_path / "prod33.json")
     assert cli.main(["fixture", "export", "prod33", path]) == 0
     built = _record_builds(monkeypatch)
     capsys.readouterr()
     assert cli.main(["lemma2", path, "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["tuples_checked"] == 1444
-    assert len(built) == len(set(built)) == 57
+    assert built == []
 
 
-def test_lemma3_sweep_builds_each_system_once(monkeypatch, tmp_path,
-                                              capsys):
+def test_lemma3_sweep_builds_only_the_base(monkeypatch, tmp_path, capsys):
     # the vertex sweep's condition F and vertex enumeration read one
-    # stored base polyhedron of the ambient
+    # stored base polyhedron of the ambient; the atomic states of the
+    # powerset factor and ambient are point masses and build no face
+    # (12 did while they came from LPs)
     path = str(tmp_path / "prod33.json")
     assert cli.main(["fixture", "export", "prod33", path]) == 0
     built = _record_builds(monkeypatch)
     capsys.readouterr()
     assert cli.main(["lemma3", path, "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["holds"]
-    assert len(built) == len(set(built)) == 13
+    # a powerset has no additivity rows: the base is the normalization row
+    assert [b for _, b in built] == [(1,)]
 
 
 def test_condition_F_and_vertices_build_the_base_once(monkeypatch):
