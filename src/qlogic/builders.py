@@ -239,6 +239,19 @@ def equality_gadget_blocks(left: str, right: str, prefix: str) -> list[tuple[str
     ]
 
 
+def _nonfaithful_blocks() -> list[tuple[str, ...]]:
+    """The blocks of ``nonfaithful_logic``: the 4-block {x, y, p, q} and,
+    for each of y, p, q, a 3-block with two companions that equality
+    gadgets pin to its value."""
+    blocks = [("x", "y", "p", "q")]
+    for name in ("y", "p", "q"):
+        u1, u2 = f"{name}u1", f"{name}u2"
+        blocks.append((name, u1, u2))
+        blocks += equality_gadget_blocks(name, u1, f"{name}g1")
+        blocks += equality_gadget_blocks(name, u2, f"{name}g2")
+    return blocks
+
+
 def nonfaithful_logic() -> LogicDescription:
     """A pasting whose states all vanish on the atom ``x``.
 
@@ -248,13 +261,7 @@ def nonfaithful_logic() -> LogicDescription:
     space is nonempty, so this logic separates "no faithful state" from
     "no state at all".
     """
-    blocks = [("x", "y", "p", "q")]
-    for name in ("y", "p", "q"):
-        u1, u2 = f"{name}u1", f"{name}u2"
-        blocks.append((name, u1, u2))
-        blocks += equality_gadget_blocks(name, u1, f"{name}g1")
-        blocks += equality_gadget_blocks(name, u2, f"{name}g2")
-    return greechie(blocks)
+    return greechie(_nonfaithful_blocks())
 
 
 def stateless_logic() -> LogicDescription:
@@ -264,12 +271,7 @@ def stateless_logic() -> LogicDescription:
     and t2 pinned to the value of y forces value(x) = 1/3, contradicting
     the forced value(x) = 0.
     """
-    blocks = [("x", "y", "p", "q")]
-    for name in ("y", "p", "q"):
-        u1, u2 = f"{name}u1", f"{name}u2"
-        blocks.append((name, u1, u2))
-        blocks += equality_gadget_blocks(name, u1, f"{name}g1")
-        blocks += equality_gadget_blocks(name, u2, f"{name}g2")
+    blocks = _nonfaithful_blocks()
     blocks.append(("x", "t1", "t2"))
     blocks += equality_gadget_blocks("y", "t1", "tg1")
     blocks += equality_gadget_blocks("y", "t2", "tg2")

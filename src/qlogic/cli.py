@@ -353,10 +353,13 @@ def _load_morphism(path: str):
 
 
 def _cmd_lemma1(args):
+    if (args.e1 is None) != (args.e2 is None):
+        missing = "--e1" if args.e1 is None else "--e2"
+        raise LogicInputError(f"--e1 and --e2 go together: {missing} is missing")
     mor = _load_morphism(args.morphism)
     source, target = mor.source, mor.target
     checked = []
-    if args.e1 is not None and args.e2 is not None:
+    if args.e1 is not None:
         pairs = [(source.index(args.e1), source.index(args.e2))]
     else:
         pairs = _defined_transitions(

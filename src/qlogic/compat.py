@@ -2,12 +2,12 @@
 
 A subset is compatible when some subset B between it and the whole logic
 is closed under orthocomplement and suprema of orthogonal pairs,
-contains the bounds, and forms a distributive ortholattice in the
-induced order.  The closure of the members under those operations is
-contained in every such B, so the search grows closed supersets from
-that minimal candidate, adding generators in index order.  Closures read
-the logic's join table, and each candidate is tested on its induced
-order by ``core.is_boolean_lattice``, which also decides
+contains the bounds, and is a Boolean algebra in the induced order.  The
+closure of the members under those operations is contained in every
+such B, so the search grows closed supersets from that minimal
+candidate, adding generators in index order.  Closures read the logic's
+join table, and each candidate is tested by ``core.is_powerset`` on its
+induced order and ', the mask test that also decides
 ``FiniteLogic.is_boolean``.
 """
 
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FiniteLogic, derived, is_boolean_lattice, join_table
+from .core import FiniteLogic, derived, is_powerset, join_table
 from .errors import SearchBudgetExceeded
 
 DEFAULT_NODE_BUDGET = 1_000_000
@@ -43,15 +43,16 @@ def closure(logic: FiniteLogic, members) -> frozenset:
 
 
 def is_boolean_subalgebra(logic: FiniteLogic, subset) -> bool:
-    """Is the closed subset a Boolean lattice under the induced order?
+    """Is the closed subset a Boolean algebra under the induced order?
 
-    The subset is assumed closed under ' with 0 and 1 present, which
-    already forces b v b' = 1 and b ^ b' = 0 inside the subset, so only
-    lattice structure and distributivity remain to be tested, by
-    ``core.is_boolean_lattice`` on the induced order matrix.
+    The subset is assumed closed under ' with 0 and 1 present.  Then
+    b v b' = 1 and b ^ b' = 0 inside it, so it is Boolean exactly when
+    it is the powerset of its atoms with ' as mask complement, which
+    ``core.is_powerset`` tests on the induced order and '.
     """
-    elems = sorted(subset)
-    return is_boolean_lattice(logic.leq[np.ix_(elems, elems)])
+    elems = np.array(sorted(subset), dtype=np.intp)
+    return is_powerset(logic.leq[np.ix_(elems, elems)],
+                       np.searchsorted(elems, logic.ortho[elems]))
 
 
 def is_compatible_subset(logic: FiniteLogic, members,

@@ -93,7 +93,7 @@ def boolean_product(factor: FiniteLogic) -> CompositeLogic:
         f"({factor.labels[a]},{factor.labels[b]})" for a in atoms for b in atoms
     ]
     ambient = validate_logic(boolean_algebra(k * k, atom_names=names))
-    mask_index = ambient._mask_index
+    mask_index = {m: i for i, m in enumerate(ambient.atom_masks)}
     # ambient atom (i, j) is bit i k + j; bit i of a factor mask is atom i:
     # e x 1 takes the whole row i for each atom i below e, 1 x e takes the
     # mask of e in every row

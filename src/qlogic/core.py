@@ -11,8 +11,10 @@ Suprema and infima are computed in batches by ``joins`` and ``meets``.
 and the meets ``e ^ f'`` for ``f <= e`` that axiom (E) is about; axioms
 (C)-(E), the atom decompositions and additivity rows of the state space
 and the compatibility closure all read that one table.
-``is_boolean_lattice`` decides the Boolean test of a logic and of the
-compatibility search's candidate subsets from the same batched bounds.
+``is_powerset`` is the one Boolean test, of a logic
+(``FiniteLogic.is_boolean``) and of the compatibility search's closed
+subsets: the order must be the inclusion of atom masks, packed by
+``bitmasks``, and ' their complement.
 """
 
 from __future__ import annotations
@@ -251,32 +253,35 @@ def meets(leq: np.ndarray, E, F) -> np.ndarray:
     return _least_bounds(leq.T, E, F)
 
 
-def is_boolean_lattice(leq: np.ndarray) -> bool:
-    """Is the order matrix a distributive lattice?
+def bitmasks(bits: np.ndarray) -> np.ndarray:
+    """Each row of a bool matrix as one mask, bit j for column j:
+    ``np.int64`` below 63 columns, Python ints (``dtype=object``), which
+    have no word limit, from 63 on."""
+    k = bits.shape[1]
+    if k < 63:
+        return bits.astype(np.int64) @ (1 << np.arange(k, dtype=np.int64))
+    rows = np.packbits(bits, axis=1, bitorder="little")
+    return np.array([int.from_bytes(r.tobytes(), "little") for r in rows],
+                    dtype=object)
 
-    Under an orthocomplementation with 0 and 1 present, as on a logic or
-    on a subset closed under ', that makes it a Boolean algebra.  Meets
-    and joins are computed a block of rows (about ``_PAIR_CHUNK`` pairs)
-    at a time, stopping at the first block with a missing bound, and
-    distributivity is then tested over all triples.
+
+def is_powerset(leq: np.ndarray, ortho: np.ndarray) -> bool:
+    """Is the order, with ``ortho`` as ', the powerset of its atoms?
+
+    The atoms are the elements with exactly two elements below them.
+    With n = 2^k elements over k atoms, e <= f must be the inclusion of
+    their atom masks and e' must hold exactly the atoms that e does not.
+    On a finite orthomodular poset, or on a subset of one that is closed
+    under ' and holds 0 and 1, this is the Boolean test.
     """
     n = len(leq)
-    meet = np.empty((n, n), dtype=np.intp)
-    join = np.empty((n, n), dtype=np.intp)
-    step = max(1, _PAIR_CHUNK // n)
-    for start in range(0, n, step):
-        rows = slice(start, min(n, start + step))
-        E, F = np.divmod(np.arange(rows.start * n, rows.stop * n), n)
-        meet[rows] = meets(leq, E, F).reshape(-1, n)
-        join[rows] = joins(leq, E, F).reshape(-1, n)
-        if (meet[rows] < 0).any() or (join[rows] < 0).any():
-            return False
-    for e in range(n):
-        # e /\ (f \/ g) == (e /\ f) \/ (e /\ g) for all f, g
-        if not np.array_equal(meet[e][join],
-                              join[meet[e][:, None], meet[e][None, :]]):
-            return False
-    return True
+    atoms = np.flatnonzero(leq.sum(axis=0) == 2)
+    if n != 1 << len(atoms):
+        return False
+    masks = bitmasks(leq[atoms].T)
+    inside = (masks[:, None] & ~masks[None, :]) == 0
+    return (np.array_equal(inside, leq)
+            and np.array_equal(masks[ortho], (n - 1) ^ masks))
 
 
 def _one_or_none(bounds: np.ndarray):
@@ -372,47 +377,17 @@ class FiniteLogic:
     @cached_property
     def atom_masks(self) -> tuple[int, ...]:
         """Bitmask over ``self.atoms`` of the atoms below each element."""
-        masks = []
-        for e in range(self.n):
-            m = 0
-            for pos, a in enumerate(self.atoms):
-                if self.leq[a, e]:
-                    m |= 1 << pos
-            masks.append(m)
-        return tuple(masks)
-
-    @cached_property
-    def is_powerset(self) -> bool:
-        """True iff the logic is exactly the powerset of its atoms.
-
-        Validation asks this before it checks axioms C-E, so the order is
-        compared with mask inclusion here rather than assumed to be it.
-        """
-        k = len(self.atoms)
-        if k > 62 or self.n != (1 << k):
-            return False
-        masks = self.atom_masks
-        if set(masks) != set(range(1 << k)):
-            return False
-        arr = np.array(masks, dtype=np.int64)
-        incl = (arr[:, None] & arr[None, :]) == arr[:, None]
-        if not np.array_equal(incl, self.leq):
-            return False
-        full = (1 << k) - 1
-        comp_ok = all(masks[self.ortho[e]] == (full ^ masks[e])
-                      for e in range(self.n))
-        return comp_ok and masks[self.zero] == 0 and masks[self.one] == full
-
-    @cached_property
-    def _mask_index(self) -> dict:
-        return {m: i for i, m in enumerate(self.atom_masks)}
+        return tuple(bitmasks(self.leq[list(self.atoms)].T).tolist())
 
     @cached_property
     def is_boolean(self) -> bool:
-        """True iff the whole logic is a Boolean algebra: a powerset, or
-        else a distributive lattice (an orthocomplemented one is
-        Boolean)."""
-        return self.is_powerset or is_boolean_lattice(self.leq)
+        """True iff the logic is a Boolean algebra, which for a finite
+        orthomodular poset means the powerset of its atoms.
+
+        Validation asks this before it checks axioms C-E, so the order is
+        compared with mask inclusion rather than assumed to be it.
+        """
+        return is_powerset(self.leq, self.ortho)
 
     # -- serialization --------------------------------------------------
 
@@ -488,7 +463,7 @@ def validate_logic(raw: LogicDescription,
     # (B) is the involution check above
 
     logic = FiniteLogic(labels, leq, ortho, zero, one, _token=_CONSTRUCTION_TOKEN)
-    if logic.is_powerset:
+    if logic.is_boolean:
         # order is set inclusion and ' is set complement, so the supremum of
         # orthogonal pairs is the disjoint union, e v e' is everything, and
         # the orthomodular identity is plain set algebra: (C)-(E) hold.

@@ -24,7 +24,7 @@ from itertools import islice, permutations, repeat
 
 import numpy as np
 
-from .core import FiniteLogic, derived
+from .core import FiniteLogic, bitmasks, derived
 from .errors import (
     InternalInvariantError,
     LemmaViolated,
@@ -158,14 +158,11 @@ class _AtomExtender:
         self.k = len(logic.atoms)
         self.dtype = np.int64 if self.k < 63 else object
         masks = np.array(logic.atom_masks, dtype=self.dtype)
-        self.bits = np.array(
-            [[(m >> i) & 1 for i in range(self.k)] for m in logic.atom_masks],
-            dtype=self.dtype,
-        )
+        self.bits = logic.leq[list(logic.atoms)].T.astype(self.dtype)
         self.sort_order = np.argsort(masks)
         self.sorted_masks = masks[self.sort_order]
         self.ortho = np.array(logic.ortho)
-        self.trivial = logic.is_powerset
+        self.trivial = logic.is_boolean
 
     def extend(self, sigma) -> Automorphism | None:
         """sigma[i] = new position of atom i; None if no automorphism."""
@@ -218,7 +215,7 @@ def _iter_atom_perms(logic: FiniteLogic, budget):
     powerset it counts leaves: complete permutations, called candidates
     in the budget message.  Otherwise it counts nodes in preorder, one as
     each image is assigned, as ``_atom_perm_blocks`` does."""
-    if logic.is_powerset:
+    if logic.is_boolean:
         # all atoms are mutually orthogonal: no pruning is possible
         count = 0
         for perm in permutations(range(len(logic.atoms))):
@@ -257,18 +254,15 @@ def _atom_perm_blocks(logic: FiniteLogic, budget, rows):
     yielded exactly when that is within the budget.  A partial sum beyond
     the budget prunes its node and every later one.
     """
-    if logic.is_powerset:
+    if logic.is_boolean:
         yield from _batched(_iter_atom_perms(logic, budget), rows)
         return
-    atoms = logic.atoms
-    k = len(atoms)
-    dtype = np.int64 if k < 63 else object
-    omask = [sum(1 << j for j, b in enumerate(atoms) if logic.orthogonal(a, b))
-             for a in atoms]
+    k = len(logic.atoms)
+    omask = _orthogonality_masks(logic)
+    dtype = omask.dtype
     earlier = [np.array([j for j in range(d) if omask[d] >> j & 1],
                         dtype=np.intp) for d in range(k)]
     bit = np.array([1 << c for c in range(k)], dtype=dtype)
-    omask = np.array(omask, dtype=dtype)
     seen = [0] * k  # nodes handed out at each depth so far
     # a chunk: images (r, d) of atoms 0 .. d-1, their masks, and the
     # partial preorder sums, rows in lexicographic order
@@ -303,6 +297,13 @@ def _atom_perm_blocks(logic: FiniteLogic, budget, rows):
         raise SearchBudgetExceeded(
             f"automorphism search visited {max(budget, 0) + 1} nodes"
         )
+
+
+def _orthogonality_masks(logic: FiniteLogic) -> np.ndarray:
+    """Bit j of entry i is set when atoms i and j are orthogonal, that is,
+    when atom i lies below the complement of atom j."""
+    atoms = list(logic.atoms)
+    return bitmasks(logic.leq[np.ix_(atoms, logic.ortho[atoms])])
 
 
 def _batched(perms, rows):

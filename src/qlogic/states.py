@@ -163,7 +163,7 @@ class ReducedStateSpace:
         logic = self.logic
         atoms = list(self.atoms)
         below = logic.leq[atoms]  # below[i, r]: atom i <= r
-        if logic.is_powerset:
+        if logic.is_boolean:
             counts = below.T.astype(np.int8)
         else:
             # peel all elements at once: while r is not the zero, count
@@ -193,7 +193,7 @@ class ReducedStateSpace:
         """Integer rows s - e - f over the decompositions of every
         orthogonal pair e, f with join s, deduplicated and sorted."""
         logic = self.logic
-        if logic.is_powerset:
+        if logic.is_boolean:
             # decompositions are atom sets and orthogonal pairs are
             # disjoint unions, so every additivity row cancels exactly
             return np.zeros((0, self.k), dtype=np.int8)
@@ -418,25 +418,26 @@ def check_condition_G(logic: FiniteLogic,
     vertex restrictions, so vertex existence implies existence for every
     base state.  Non-uniqueness for any base yields two states with value
     1 on e agreeing below e, which the gap LP detects coordinatewise
-    unless every atom lies below e or e' and no gap can open.
+    unless every atom lies below e or e' and no gap can open.  On a
+    Boolean logic conditioning is classical, the ratio state being the
+    one conditional, so G holds once the vertices are within the budget.
     """
     space = reduced_space(logic)
     verts = _polytope_vertices(logic, budget)
+    if logic.is_boolean:
+        return UniqueConditionalsReport(holds=True)
     for e in range(logic.n):
         if e == logic.zero:
             continue
         # the maximum over the polytope is attained at a vertex
         if all(v[e] == 0 for v in verts):
             continue  # never conditionable; imposes nothing
-        if not logic.is_powerset:
-            # on a powerset the ratio state itself is a conditional, so
-            # existence never fails and only other logics need the LPs
-            v = _vertex_without_conditional(space, verts, e)
-            if v is not None:
-                return UniqueConditionalsReport(
-                    holds=False, failure_kind="non_existent",
-                    element=e, vertex=v,
-                )
+        v = _vertex_without_conditional(space, verts, e)
+        if v is not None:
+            return UniqueConditionalsReport(
+                holds=False, failure_kind="non_existent",
+                element=e, vertex=v,
+            )
         gap = _uniqueness_gap(space, e)
         if gap is not None:
             return UniqueConditionalsReport(
@@ -577,7 +578,7 @@ def _transition(logic: FiniteLogic, e: int, low, high) -> TransitionProbability:
 def transition_probability(logic: FiniteLogic, f: int, e: int) -> TransitionProbability:
     """Minimize and maximize value(f) over the face value(e) = 1; on a
     powerset, read both off the order."""
-    if logic.is_powerset:
+    if logic.is_boolean:
         low, high = _order_range(logic, f, e)
         return _transition(logic, e, int(low), int(high))
     on_e = face(logic, e)
@@ -610,7 +611,7 @@ def transitions(logic: FiniteLogic, f, e):
     """
     f, e = np.broadcast_arrays(np.asarray(f, dtype=np.intp),
                                np.asarray(e, dtype=np.intp))
-    if logic.is_powerset:
+    if logic.is_boolean:
         return _order_range(logic, f, e)
     low = np.empty(f.shape, dtype=object)
     high = np.empty(f.shape, dtype=object)
@@ -634,7 +635,7 @@ def atomic_state(logic: FiniteLogic, e: int) -> State:
     """
     if not logic.is_atom(e):
         raise NotAnAtom(f"{logic.labels[e]!r} is not an atom")
-    if logic.is_powerset:
+    if logic.is_boolean:
         # the point mass on e
         return State(logic, [_UNIT[x] for x in logic.leq[e].tolist()],
                      _checked=True)

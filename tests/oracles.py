@@ -73,8 +73,10 @@ def find_inf(leq, e, f):
 
 def is_boolean_lattice(leq):
     """Every pair has a ``find_inf`` and a ``find_sup``, and meets
-    distribute over joins for all triples: the reference for
-    ``core.is_boolean_lattice``."""
+    distribute over joins for all triples.  Under an orthocomplement with
+    0 and 1, that is Boolean-ness: the reference for the mask test
+    ``core.is_powerset`` behind ``FiniteLogic.is_boolean`` and
+    ``compat.is_boolean_subalgebra``."""
     n = len(leq)
     meet = [[find_inf(leq, a, b) for b in range(n)] for a in range(n)]
     join = [[find_sup(leq, a, b) for b in range(n)] for a in range(n)]
@@ -373,7 +375,7 @@ def unique_conditionals_per_vertex(logic, budget=100_000):
     for e in range(logic.n):
         if e == logic.zero or all(v[e] == 0 for v in verts):
             continue
-        if not logic.is_powerset:
+        if not logic.is_boolean:
             for v in verts:
                 if v[e] != 0 and not space.feasible(
                         _conditional_rows(space, v, e)):
@@ -643,7 +645,7 @@ def atom_perms_recursive(logic, budget):
     atoms = logic.atoms
     k = len(atoms)
     orth = [[logic.orthogonal(a, b) for b in atoms] for a in atoms]
-    if logic.is_powerset:
+    if logic.is_boolean:
         count = 0
         for perm in permutations(range(k)):
             count += 1

@@ -273,12 +273,30 @@ def test_lemma_commands(fixture_files, capsys, tmp_path):
                    "map": [0, 1, 2, 3]}, fh)
     code, out = run(capsys, "lemma1", str(morph), "--format", "json")
     assert code == 0 and json.loads(out)["holds"]
+    code, out = run(capsys, "lemma1", str(morph), "--e1", "x", "--e2", "y",
+                    "--format", "json")
+    assert code == 0 and len(json.loads(out)["pairs_checked"]) == 1
     code, out = run(capsys, "lemma2", fixture_files["prod22"],
                     "--format", "json")
     assert code == 0 and json.loads(out)["tuples_checked"] == 100
     code, out = run(capsys, "lemma3", fixture_files["prod22"],
                     "--format", "json")
     assert code == 0 and json.loads(out)["states_checked"] == 4
+
+
+@pytest.mark.parametrize("given, missing", [("--e1", "--e2"),
+                                            ("--e2", "--e1")])
+def test_lemma1_lone_event_flag_is_input_error(fixture_files, capsys,
+                                               tmp_path, given, missing):
+    morph = tmp_path / "ident.json"
+    morph.write_text(json.dumps({"source": fixture_files["boolean2"],
+                                 "target": fixture_files["boolean2"],
+                                 "map": [0, 1, 2, 3]}))
+    code, out = run(capsys, "lemma1", str(morph), given, "x",
+                    "--format", "json")
+    payload = json.loads(out)
+    assert code == 2 and payload["error"] == "input"
+    assert f"{missing} is missing" in payload["detail"]
 
 
 def test_lemma3_with_state_file(fixture_files, capsys, tmp_path):

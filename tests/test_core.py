@@ -66,7 +66,7 @@ def test_validate_accepts_boolean_algebras(k):
     logic = validate_logic(boolean_algebra(k))
     assert logic.n == 2 ** k
     assert len(logic.atoms) == k
-    assert logic.is_powerset and logic.is_boolean
+    assert logic.is_boolean
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

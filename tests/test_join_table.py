@@ -1,7 +1,10 @@
 """The join table against the pair-by-pair oracles: batched joins and
 meets, the per-pair queries, the additivity rows built from the table,
 the first axiom (C)-(E) violation that validation reports, and the
-Boolean-lattice test on induced orders."""
+Boolean mask test against the lattice oracle, on whole logics and on
+closed subsets."""
+
+from itertools import chain, combinations
 
 import numpy as np
 import pytest
@@ -25,7 +28,6 @@ from qlogic.core import (
     join_table,
     joins,
     meets,
-    is_boolean_lattice,
     transitive_closure,
     validate_logic,
 )
@@ -66,7 +68,7 @@ def _assert_space_matches_oracle(logic):
     assert space.counts.tolist() == decompositions(logic).tolist()
     rows = space.rows
     assert all(type(c) is int for row in rows for c in row)
-    if not logic.is_powerset:  # a powerset needs no additivity rows
+    if not logic.is_boolean:  # a Boolean logic needs no additivity rows
         assert list(rows) == additivity_rows(logic)
 
 
@@ -249,8 +251,8 @@ def _induced(logic, elems):
 ], ids=["MO2", "loop-of-order-4", "B1", "B2", "B3", "B4"])
 def test_is_boolean_lattice_matches_oracle(desc, boolean):
     logic = validate_logic(desc)
-    assert is_boolean_lattice(logic.leq) == boolean
     assert oracles.is_boolean_lattice(logic.leq) == boolean
+    assert logic.is_boolean == boolean
     # the whole logic is closed, so the subalgebra test agrees too
     assert is_boolean_subalgebra(logic, range(logic.n)) == boolean
 
@@ -265,10 +267,57 @@ def test_is_boolean_lattice_matches_oracle_on_pastings(blocks, data):
         logic = validate_logic(desc)
     except QLogicError:
         return
+    assert logic.is_boolean == oracles.is_boolean_lattice(logic.leq)
     elements = st.integers(0, logic.n - 1)
-    subset = data.draw(st.sets(elements, min_size=1, max_size=12))
-    leq = _induced(logic, subset)
-    assert is_boolean_lattice(leq) == oracles.is_boolean_lattice(leq)
     closed = closure(logic, data.draw(st.sets(elements, max_size=3)))
     assert (is_boolean_subalgebra(logic, closed)
             == oracles.is_boolean_lattice(_induced(logic, closed)))
+
+
+@st.composite
+def _relisted(draw):
+    """A Boolean algebra on 1-4 atoms or a lantern MO1-MO4 with its
+    elements listed in a drawn order, so neither the atoms nor the
+    masks come in index order."""
+    raw, boolean = draw(st.sampled_from(
+        [(boolean_algebra(k), True) for k in range(1, 5)]
+        # MO1 is the 4-element algebra
+        + [(mo_logic(k), k == 1) for k in range(1, 5)]))
+    order = draw(st.permutations(range(len(raw.labels))))
+    new = {old: i for i, old in enumerate(order)}
+    return validate_logic(LogicDescription(
+        labels=tuple(raw.labels[old] for old in order),
+        le_pairs=tuple((new[a], new[b]) for a, b in raw.le_pairs),
+        ortho=tuple(new[raw.ortho[old]] for old in order),
+        zero_index=new[raw.zero_index],
+        one_index=new[raw.one_index],
+    )), boolean
+
+
+@given(_relisted())
+@settings(max_examples=40, deadline=None)
+def test_boolean_test_matches_oracle_in_any_element_order(drawn):
+    logic, boolean = drawn
+    assert logic.is_boolean == boolean
+    assert oracles.is_boolean_lattice(logic.leq) == boolean
+
+
+def _closures(logic, size):
+    """The closures of every member set of at most ``size`` elements."""
+    seen = set()
+    for members in chain.from_iterable(
+            combinations(range(logic.n), r) for r in range(size + 1)):
+        seen.add(closure(logic, members))
+    return sorted(seen, key=sorted)
+
+
+def test_subalgebra_test_matches_oracle_on_closures():
+    outcomes = []
+    for desc, size in ((mo_logic(2), 2), (mo_logic(3), 2), (LOOP4, 2),
+                       (boolean_algebra(3), 2)):
+        logic = validate_logic(desc)
+        for closed in _closures(logic, size):
+            got = is_boolean_subalgebra(logic, closed)
+            assert got == oracles.is_boolean_lattice(_induced(logic, closed))
+            outcomes.append(got)
+    assert True in outcomes and False in outcomes

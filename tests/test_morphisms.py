@@ -5,6 +5,7 @@ import random
 from fractions import Fraction as F
 from itertools import islice, permutations
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -169,18 +170,40 @@ def test_generic_backtracking_agrees_with_mask_route(b2, mo2):
         _assert_mask_route_is_complete(logic)
 
 
-def test_every_valid_fixture_orders_by_atom_masks():
-    # stateless has 76 atoms: its masks do not fit a machine word
+def _valid_fixture_logics():
+    """(name, logic) for every valid fixture logic and for the factor and
+    ambient of every fixture composite."""
     for name in fixture_names():
         fx = load_fixture(name)
         if fx.kind == "composite":
-            logics = (fx.composite().factor, fx.composite().ambient)
+            yield name, fx.composite().factor
+            yield name, fx.composite().ambient
         elif fx.kind == "logic" and fx.annotations["valid"]:
-            logics = (fx.logic(),)
-        else:
-            continue
-        for logic in logics:
-            assert order_is_mask_inclusion(logic), name
+            yield name, fx.logic()
+
+
+def test_every_valid_fixture_orders_by_atom_masks():
+    # stateless has 76 atoms: its masks do not fit a machine word
+    for name, logic in _valid_fixture_logics():
+        assert order_is_mask_inclusion(logic), name
+
+
+def test_masks_match_their_definitions():
+    # the 76 atoms of stateless take the Python-int path of the packing
+    ks = set()
+    for name, logic in _valid_fixture_logics():
+        atoms, leq = logic.atoms, logic.leq
+        assert logic.atom_masks == tuple(
+            sum(1 << i for i, a in enumerate(atoms) if leq[a, e])
+            for e in range(logic.n)), name
+        assert all(type(m) is int for m in logic.atom_masks), name
+        omask = morphisms._orthogonality_masks(logic)
+        assert omask.dtype == (np.int64 if len(atoms) < 63 else object), name
+        assert omask.tolist() == [
+            sum(1 << j for j, b in enumerate(atoms) if logic.orthogonal(a, b))
+            for a in atoms], name
+        ks.add(len(atoms))
+    assert max(ks) >= 63 > min(ks)
 
 
 @st.composite

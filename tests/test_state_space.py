@@ -232,7 +232,7 @@ def _assert_point_masses_match_lp(logic):
 
 def test_powerset_transitions_match_the_lp_on_prod33_sample():
     logic = _logic("prod33-ambient")
-    assert logic.is_powerset
+    assert logic.is_boolean
     rng = random.Random("prod33-transitions")
     pairs = [(rng.randrange(logic.n), rng.randrange(logic.n))
              for _ in range(2000)]
@@ -270,7 +270,7 @@ def _shuffled_boolean_algebra(draw):
 @settings(max_examples=20, deadline=None)
 def test_powerset_paths_match_the_lp_in_any_element_order(desc):
     logic = validate_logic(desc)
-    assert logic.is_powerset
+    assert logic.is_boolean
     _assert_transitions_match_per_call(
         logic, [(f, e) for e in range(logic.n) for f in range(logic.n)])
     _assert_point_masses_match_lp(logic)
