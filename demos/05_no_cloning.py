@@ -2,9 +2,9 @@
 
 Two copies of a logic embedded compatibly in a larger one support the
 cloning question: is there an ambient symmetry copying an unknown atomic
-state from the first copy onto a blank second copy?  The search below
-finds cloners on classical (Boolean) products, where atoms are pairwise
-orthogonal, and the certificate replays why non-orthogonal atomic states
+state from the first copy onto a blank second copy?  The clone search
+below reports the first cloner on a classical (Boolean) product, where
+atoms are pairwise orthogonal, and the certificate replays why non-orthogonal atomic states
 can never be cloned: the transition between them would have to equal its
 own square.
 """
@@ -38,11 +38,11 @@ print(f"P = {rep.factor_values[0]} * {rep.factor_values[1]} "
       f"= {rep.ambient_value} on the ambient meet events: {rep.holds}")
 
 print()
-print("== searching every ambient symmetry for a cloner ==")
+print("== the first cloner among the ambient symmetries ==")
 problem = CloneProblem(comp, [x, y], x)
 report = clone_search(problem)
 print(f"cloner found: {report.cloner is not None} "
-      f"(after scanning {report.scanned} candidates)")
+      f"(atom permutation {report.scanned} in lexicographic order)")
 print(f"pairwise transitions within C: "
       + ", ".join(f"P({factor.labels[b]}|{factor.labels[a]})={tp.value}"
                   for (a, b), tp in sorted(report.pairwise.items())))

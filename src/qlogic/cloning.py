@@ -12,6 +12,12 @@ e ^ e.  An automorphism is a bijection, so that is read forwards here:
 it clones exactly when it sends each copied meet atom e ^ e to the input
 meet atom e ^ f.  The paper's definition, evaluated on states, is kept
 in the tests as the reference this criterion is checked against.
+
+The search reports the first cloner among the atom permutations in
+lexicographic order and how many it examined.  On a Boolean ambient
+every atom permutation is an automorphism, so both are computed without
+a walk: the first permutation with the forced images and its Lehmer
+rank plus one.  Other ambients walk the permutations.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ from .composite import (
 from .errors import (
     CertificateFailed,
     ConstructionFailed,
+    InternalInvariantError,
     LogicInputError,
     NotBoolean,
     PreconditionFailed,
@@ -39,6 +46,7 @@ from .morphisms import (
     Automorphism,
     DEFAULT_SEARCH_BUDGET,
     _atom_extender,
+    _first_perm_with,
     _iter_atom_perms,
 )
 from .states import _transition, atomic_state, transitions
@@ -157,12 +165,16 @@ def _pairwise_table(problem: CloneProblem) -> dict:
 
 def clone_search(problem: CloneProblem,
                  budget=DEFAULT_SEARCH_BUDGET) -> CloneReport:
-    """Filter the full ambient automorphism group for cloning maps.
+    """The first cloner among the ambient's atom permutations in
+    lexicographic order, and the number of candidates up to it.
 
-    The cloning criterion, read on atom positions, filters the atom
-    permutations before they are extended: each must send the copied
-    meet atom to the input meet atom.  So every permutation that
-    passes and extends is a cloner, and the first one is reported.
+    The cloning criterion, read on atom positions, forces the image of
+    each copied meet atom: the input meet atom.  On a Boolean ambient
+    every atom permutation extends, so the first one with the forced
+    images is the cloner and its Lehmer rank plus one is the count the
+    walk below would reach; both are computed without it.  Other
+    ambients walk the permutations the atom search lists, skip those
+    that miss a forced image and report the first that extends.
     """
     comp = problem.composite
     ambient = comp.ambient
@@ -170,17 +182,25 @@ def clone_search(problem: CloneProblem,
     pos = {a: i for i, a in enumerate(ambient.atoms)}
     sources = [pos[problem.copied_atom[e]] for e in problem.C]
     targets = tuple(pos[problem.input_atom[e]] for e in problem.C)
-    images = itemgetter(*sources)
-    if len(sources) == 1:
-        targets = targets[0]  # a one-index itemgetter returns a scalar
-    cloner = None
-    scanned = 0
-    for scanned, sigma in enumerate(_iter_atom_perms(ambient, budget), 1):
-        if images(sigma) != targets:
-            continue
+    if ambient.is_boolean:
+        sigma, scanned = _first_perm_with(
+            len(pos), dict(zip(sources, targets)), budget)
         cloner = ext.extend(sigma)
-        if cloner is not None:
-            break
+        if cloner is None:
+            raise InternalInvariantError(
+                "an atom permutation of a Boolean ambient does not extend")
+    else:
+        images = itemgetter(*sources)
+        if len(sources) == 1:
+            targets = targets[0]  # a one-index itemgetter returns a scalar
+        cloner = None
+        scanned = 0
+        for scanned, sigma in enumerate(_iter_atom_perms(ambient, budget), 1):
+            if images(sigma) != targets:
+                continue
+            cloner = ext.extend(sigma)
+            if cloner is not None:
+                break
 
     factor = comp.factor
     orthogonal = all(

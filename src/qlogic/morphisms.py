@@ -7,14 +7,16 @@ the atoms, and an ``Automorphism`` stores only its map: the inverse is
 read off the map when asked for.  On a powerset every atom permutation
 is an automorphism, and the search lists them with
 ``itertools.permutations``; its budget counts these leaves, called
-candidates.  Otherwise the search walks atom images depth first in
-lexicographic order, a block of partial permutations per numpy pass: an
-image is admitted by one bitmask test of its orthogonal atoms against
-the images already used, for every row and candidate at once.  Its
-budget counts nodes in preorder exactly as a one-node-at-a-time walk
-would.  Each block of complete atom bijections is extended through the
-atom masks in one numpy pass, and the element maps of the block become
-one tuple each, so enumeration costs roughly its output.
+candidates.  The first of them with some atom images forced, and its
+index among them, are computed without the walk.  Otherwise the search
+walks atom images depth first in lexicographic order, a block of
+partial permutations per numpy pass: an image is admitted by one bitmask
+test of its orthogonal atoms against the images already used, for every
+row and candidate at once.  Its budget counts nodes in preorder exactly
+as a one-node-at-a-time walk would.  Each block of complete atom
+bijections is extended through the atom masks in one numpy pass, and the
+element maps of the block become one tuple each, so enumeration costs
+roughly its output.
 """
 
 from __future__ import annotations
@@ -217,18 +219,48 @@ def _iter_atom_perms(logic: FiniteLogic, budget):
     each image is assigned, as ``_atom_perm_blocks`` does."""
     if logic.is_boolean:
         # all atoms are mutually orthogonal: no pruning is possible
-        count = 0
-        for perm in permutations(range(len(logic.atoms))):
-            count += 1
+        perms = permutations(range(len(logic.atoms)))
+        for count, perm in enumerate(perms, 1):
             if count > budget:
-                raise SearchBudgetExceeded(
-                    f"automorphism search visited {count} candidates"
-                )
+                raise _candidates_exceeded(budget)
             yield perm
         return
     rows = max(1, _EXTEND_ENTRIES // len(logic.atoms))
     for block in _atom_perm_blocks(logic, budget, rows):
         yield from map(tuple, block.tolist())
+
+
+def _candidates_exceeded(budget) -> SearchBudgetExceeded:
+    """The error of a powerset search that reads past ``budget``
+    candidates: the walk of ``_iter_atom_perms`` and the closed form of
+    ``_first_perm_with`` both raise it."""
+    return SearchBudgetExceeded(
+        f"automorphism search visited {max(budget, 0) + 1} candidates"
+    )
+
+
+def _first_perm_with(k: int, forced: dict, budget):
+    """The first permutation of range(k) in lexicographic order with
+    sigma[i] = forced[i], a partial injection, and its 1-based index in
+    ``permutations(range(k))``: the candidate at which a powerset walk of
+    ``_iter_atom_perms`` meets it, found without the walk.
+
+    The positions that are not forced take the images that no forced
+    position takes, in increasing order.  The index is the Lehmer rank
+    plus one: the digit of position i counts the later images below
+    sigma[i], and the digits are read in the factorial number system
+    (Lehmer 1960; Knuth, TAOCP vol. 2, 3.3.2).  Past the budget this
+    raises what the walk raises there.
+    """
+    free = iter(sorted(set(range(k)) - set(forced.values())))
+    sigma = tuple(forced[i] if i in forced else next(free)
+                  for i in range(k))
+    rank = 0
+    for i, s in enumerate(sigma):
+        rank = rank * (k - i) + sum(t < s for t in sigma[i + 1:])
+    if rank + 1 > budget:
+        raise _candidates_exceeded(budget)
+    return sigma, rank + 1
 
 
 def _atom_perm_blocks(logic: FiniteLogic, budget, rows):

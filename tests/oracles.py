@@ -716,7 +716,8 @@ def automorphisms_by_oracle(logic, ext, budget):
 def clone_scan(problem, ext, budget):
     """(permutations scanned, first cloner or None) by testing each
     required atom image of each permutation in turn: the reference for
-    the scan in ``cloning.clone_search``."""
+    the cloner and the count of ``cloning.clone_search``, walked or
+    computed."""
     ambient = problem.composite.ambient
     pos = {a: i for i, a in enumerate(ambient.atoms)}
     needed = [(pos[problem.copied_atom[e]], pos[problem.input_atom[e]])

@@ -1,6 +1,6 @@
 """Cloning transformations, the explicit classical cloner, the search."""
 
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -32,6 +32,7 @@ from qlogic.errors import (
 from qlogic.fixtures import load_fixture
 from qlogic.morphisms import (
     _atom_extender,
+    _first_perm_with,
     automorphisms,
     validate_automorphism,
 )
@@ -250,17 +251,38 @@ def _all_problems(comp):
             for C in combinations(atoms, size) for f in atoms]
 
 
+def _searched(problem, budget):
+    report = clone_search(problem, budget)
+    return report.scanned, report.cloner
+
+
+def _outcome(search, *args):
+    """(scanned, cloner map) of a search, or the type and message of the
+    error it raises."""
+    try:
+        scanned, cloner = search(*args)
+    except SearchBudgetExceeded as exc:
+        return type(exc), str(exc)
+    return scanned, cloner.map
+
+
 def test_search_matches_oracle_scan_on_every_product_problem(prod22, prod33):
-    # 6 problems on prod22 and 21 on prod33; |C| = 1 compares scalars
+    # 6 problems on prod22 and 21 on prod33; |C| = 1 compares scalars.
+    # One candidate short of the first cloner, and exactly at it, the
+    # search raises, or finds, what the scan does.
     problems = _all_problems(prod22) + _all_problems(prod33)
     assert len(problems) == 27
     for problem in problems:
+        ext = _atom_extender(problem.composite.ambient)
         report = clone_search(problem)
-        scanned, cloner = clone_scan(
-            problem, _atom_extender(problem.composite.ambient), 10 ** 9)
+        scanned, cloner = clone_scan(problem, ext, 10 ** 9)
         assert report.scanned == scanned
         assert report.cloner is not None
         assert report.cloner.map == cloner.map
+        for budget in (scanned - 1, scanned):
+            assert (_outcome(_searched, problem, budget)
+                    == _outcome(clone_scan, problem, ext, budget))
+        assert _outcome(_searched, problem, scanned) == (scanned, cloner.map)
 
 
 def test_reports_and_certificates_match_per_pair_transitions(prod22,
@@ -307,6 +329,60 @@ def test_clone_search_budget(prod22):
     problem = CloneProblem(prod22, [y], x)
     with pytest.raises(SearchBudgetExceeded):
         clone_search(problem, budget=1)
+
+
+@st.composite
+def _forced_images(draw):
+    """A number of atoms k and a partial injection of positions to images
+    of range(k); a position may be forced to itself."""
+    k = draw(st.integers(0, 6))
+    sigma = draw(st.permutations(range(k)))
+    sources = draw(st.lists(st.integers(0, max(k - 1, 0)), unique=True,
+                            max_size=k))
+    return k, {i: sigma[i] for i in sources}
+
+
+@given(_forced_images())
+@settings(max_examples=200, deadline=None)
+def test_first_perm_with_matches_the_lexicographic_walk(case):
+    k, forced = case
+    index, first = next(
+        (index, sigma)
+        for index, sigma in enumerate(permutations(range(k)), 1)
+        if all(sigma[i] == j for i, j in forced.items()))
+    assert _first_perm_with(k, forced, index) == (first, index)
+    with pytest.raises(SearchBudgetExceeded) as info:
+        _first_perm_with(k, forced, index - 1)
+    assert str(info.value) == f"automorphism search visited {index} candidates"
+
+
+def test_clone_search_on_a_powerset_does_not_walk(prod22, prod33,
+                                                  monkeypatch):
+    def walk(logic, budget):
+        raise AssertionError("the atom permutations were walked")
+        yield
+
+    monkeypatch.setattr(cloning, "_iter_atom_perms", walk)
+    for problem in _all_problems(prod22) + _all_problems(prod33):
+        assert clone_search(problem).cloner is not None
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_walk_agrees_with_the_closed_form(k):
+    # a fresh product whose ambient is read as not Boolean before its
+    # first search takes the walk kept for other ambients: the block atom
+    # search and the extension by mask lookup with searchsorted
+    factor = validate_logic(boolean_algebra(k))
+    closed = [clone_search(problem)
+              for problem in _all_problems(boolean_product(factor))]
+    comp = boolean_product(factor)
+    problems = _all_problems(comp)
+    comp.ambient.__dict__["is_boolean"] = False
+    assert not _atom_extender(comp.ambient).trivial
+    for problem, expected in zip(problems, closed):
+        report = clone_search(problem)
+        assert report.scanned == expected.scanned
+        assert report.cloner.map == expected.cloner.map
 
 
 # ---------------------------------------------------------------------------
