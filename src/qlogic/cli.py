@@ -84,6 +84,8 @@ def _read_json(path):
             return json.load(fh)
     except (OSError, ValueError) as exc:  # not UTF-8, not JSON, huge ints
         raise LogicInputError(str(exc)) from exc
+    except RecursionError as exc:  # arrays or objects nested too deeply
+        raise LogicInputError(f"JSON nested too deeply: {exc}") from exc
 
 
 def _write_json(path, data):

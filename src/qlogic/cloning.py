@@ -14,16 +14,16 @@ meet atom e ^ f.  The paper's definition, evaluated on states, is kept
 in the tests as the reference this criterion is checked against.
 
 The search reports the first cloner among the atom permutations in
-lexicographic order and how many it examined.  On a Boolean ambient
-every atom permutation is an automorphism, so both are computed without
-a walk: the first permutation with the forced images and its Lehmer
-rank plus one.  Other ambients walk the permutations.
+lexicographic order and how many it examined.  The criterion forces the
+images of the copied meet atoms, and ``morphisms`` answers the question
+for any forced images: without a walk on a Boolean ambient, where every
+atom permutation is an automorphism, and by walking the permutations on
+any other.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
 
 import numpy as np
 
@@ -37,7 +37,6 @@ from .composite import (
 from .errors import (
     CertificateFailed,
     ConstructionFailed,
-    InternalInvariantError,
     LogicInputError,
     NotBoolean,
     PreconditionFailed,
@@ -46,8 +45,7 @@ from .morphisms import (
     Automorphism,
     DEFAULT_SEARCH_BUDGET,
     _atom_extender,
-    _first_perm_with,
-    _iter_atom_perms,
+    _first_automorphism_with,
 )
 from .states import _transition, atomic_state, transitions
 
@@ -169,38 +167,15 @@ def clone_search(problem: CloneProblem,
     lexicographic order, and the number of candidates up to it.
 
     The cloning criterion, read on atom positions, forces the image of
-    each copied meet atom: the input meet atom.  On a Boolean ambient
-    every atom permutation extends, so the first one with the forced
-    images is the cloner and its Lehmer rank plus one is the count the
-    walk below would reach; both are computed without it.  Other
-    ambients walk the permutations the atom search lists, skip those
-    that miss a forced image and report the first that extends.
+    each copied meet atom: the input meet atom.  The first automorphism
+    with those images is the cloner (``_first_automorphism_with``).
     """
     comp = problem.composite
     ambient = comp.ambient
-    ext = _atom_extender(ambient)
     pos = {a: i for i, a in enumerate(ambient.atoms)}
-    sources = [pos[problem.copied_atom[e]] for e in problem.C]
-    targets = tuple(pos[problem.input_atom[e]] for e in problem.C)
-    if ambient.is_boolean:
-        sigma, scanned = _first_perm_with(
-            len(pos), dict(zip(sources, targets)), budget)
-        cloner = ext.extend(sigma)
-        if cloner is None:
-            raise InternalInvariantError(
-                "an atom permutation of a Boolean ambient does not extend")
-    else:
-        images = itemgetter(*sources)
-        if len(sources) == 1:
-            targets = targets[0]  # a one-index itemgetter returns a scalar
-        cloner = None
-        scanned = 0
-        for scanned, sigma in enumerate(_iter_atom_perms(ambient, budget), 1):
-            if images(sigma) != targets:
-                continue
-            cloner = ext.extend(sigma)
-            if cloner is not None:
-                break
+    cloner, scanned = _first_automorphism_with(ambient, {
+        pos[problem.copied_atom[e]]: pos[problem.input_atom[e]]
+        for e in problem.C}, budget)
 
     factor = comp.factor
     orthogonal = all(

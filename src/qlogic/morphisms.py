@@ -4,19 +4,20 @@ A morphism preserves order, orthocomplement and the unit; its dual pulls
 states on the target back to states on the source.  Every validated
 logic is atomistic, so an automorphism is determined by where it sends
 the atoms, and an ``Automorphism`` stores only its map: the inverse is
-read off the map when asked for.  On a powerset every atom permutation
-is an automorphism, and the search lists them with
-``itertools.permutations``; its budget counts these leaves, called
-candidates.  The first of them with some atom images forced, and its
-index among them, are computed without the walk.  Otherwise the search
-walks atom images depth first in lexicographic order, a block of
-partial permutations per numpy pass: an image is admitted by one bitmask
-test of its orthogonal atoms against the images already used, for every
-row and candidate at once.  Its budget counts nodes in preorder exactly
-as a one-node-at-a-time walk would.  Each block of complete atom
-bijections is extended through the atom masks in one numpy pass, and the
-element maps of the block become one tuple each, so enumeration costs
-roughly its output.
+read off the map when asked for.  One generator, ``_atom_perm_blocks``,
+lists the atom permutations that respect orthogonality, in
+lexicographic order and in blocks.  On a powerset they are all
+automorphisms, cut from ``itertools.permutations``, and the budget
+counts these leaves, called candidates.  Otherwise the search walks
+atom images depth first, a block of partial permutations per numpy
+pass: an image is admitted by one bitmask test of its orthogonal atoms
+against the images already used, for every row and candidate at once.
+Its budget counts nodes in preorder exactly as a one-node-at-a-time walk
+would.  Each block of complete atom bijections is extended through the
+atom masks in one numpy pass, and the element maps of the block become
+one tuple each, so enumeration costs roughly its output.  The first
+automorphism with some atom images forced, and its index, come from
+``_first_automorphism_with``: computed on a powerset, walked otherwise.
 """
 
 from __future__ import annotations
@@ -164,7 +165,6 @@ class _AtomExtender:
         self.sort_order = np.argsort(masks)
         self.sorted_masks = masks[self.sort_order]
         self.ortho = np.array(logic.ortho)
-        self.trivial = logic.is_boolean
 
     def extend(self, sigma) -> Automorphism | None:
         """sigma[i] = new position of atom i; None if no automorphism."""
@@ -176,7 +176,7 @@ class _AtomExtender:
         logic, n = self.logic, self.logic.n
         S = np.asarray(sigmas, dtype=self.dtype).reshape(len(sigmas), self.k)
         new_masks = (1 << S) @ self.bits.T
-        if self.trivial:
+        if logic.is_boolean:
             # a powerset's masks are exactly 0 .. n-1, so a mask is its own
             # index among the sorted masks, and every permutation extends
             tmap = self.sort_order[new_masks]
@@ -209,41 +209,20 @@ def _atom_extender(logic: FiniteLogic) -> _AtomExtender:
     return _AtomExtender(logic)
 
 
-def _iter_atom_perms(logic: FiniteLogic, budget):
-    """Atom-position permutations respecting the orthogonality pattern,
-    in lexicographic order, one tuple at a time.
-
-    The budget bounds a count whose unit depends on the logic.  On a
-    powerset it counts leaves: complete permutations, called candidates
-    in the budget message.  Otherwise it counts nodes in preorder, one as
-    each image is assigned, as ``_atom_perm_blocks`` does."""
-    if logic.is_boolean:
-        # all atoms are mutually orthogonal: no pruning is possible
-        perms = permutations(range(len(logic.atoms)))
-        for count, perm in enumerate(perms, 1):
-            if count > budget:
-                raise _candidates_exceeded(budget)
-            yield perm
-        return
-    rows = max(1, _EXTEND_ENTRIES // len(logic.atoms))
-    for block in _atom_perm_blocks(logic, budget, rows):
-        yield from map(tuple, block.tolist())
-
-
-def _candidates_exceeded(budget) -> SearchBudgetExceeded:
-    """The error of a powerset search that reads past ``budget``
-    candidates: the walk of ``_iter_atom_perms`` and the closed form of
-    ``_first_perm_with`` both raise it."""
+def _budget_exceeded(budget, unit) -> SearchBudgetExceeded:
+    """The error of an atom search that reads past ``budget`` of its unit:
+    "candidates" (complete permutations) on a powerset, "nodes" in
+    preorder on any other logic."""
     return SearchBudgetExceeded(
-        f"automorphism search visited {max(budget, 0) + 1} candidates"
+        f"automorphism search visited {max(budget, 0) + 1} {unit}"
     )
 
 
 def _first_perm_with(k: int, forced: dict, budget):
     """The first permutation of range(k) in lexicographic order with
     sigma[i] = forced[i], a partial injection, and its 1-based index in
-    ``permutations(range(k))``: the candidate at which a powerset walk of
-    ``_iter_atom_perms`` meets it, found without the walk.
+    ``permutations(range(k))``: the candidate at which the powerset
+    search of ``_atom_perm_blocks`` meets it, found without the walk.
 
     The positions that are not forced take the images that no forced
     position takes, in increasing order.  The index is the Lehmer rank
@@ -259,20 +238,22 @@ def _first_perm_with(k: int, forced: dict, budget):
     for i, s in enumerate(sigma):
         rank = rank * (k - i) + sum(t < s for t in sigma[i + 1:])
     if rank + 1 > budget:
-        raise _candidates_exceeded(budget)
+        raise _budget_exceeded(budget, "candidates")
     return sigma, rank + 1
 
 
 def _atom_perm_blocks(logic: FiniteLogic, budget, rows):
-    """``_iter_atom_perms`` as blocks of at most ``rows`` permutations:
-    lists of tuples on a powerset, (r, k) int arrays otherwise.  The
-    budget counts leaves (candidates) on a powerset, whose permutations
-    come from ``_iter_atom_perms``, and preorder nodes on any other logic.
+    """Atom-position permutations respecting the orthogonality pattern,
+    in lexicographic order, in blocks of at most ``rows``: lists of tuples
+    on a powerset, (r, k) int arrays otherwise.  The budget counts leaves
+    (candidates) on a powerset, where nothing is pruned and the blocks
+    are cut from ``itertools.permutations``, and preorder nodes on any
+    other logic.  The permutations within it are yielded before the error.
 
-    Depth first over the atoms in index order, a chunk of partial
-    permutations per numpy pass.  Atom d may take a free image c exactly
-    when the used images orthogonal to c are the images of the atoms
-    before d that are orthogonal to d: one mask test per row and
+    Elsewhere, depth first over the atoms in index order, a chunk of
+    partial permutations per numpy pass.  Atom d may take a free image c
+    exactly when the used images orthogonal to c are the images of the
+    atoms before d that are orthogonal to d: one mask test per row and
     candidate.  A pass takes at most ``rows`` rows, and no more than the
     nodes handed out so far over k, so it tests no more candidates than
     there are nodes already found: the first permutations come after k
@@ -287,7 +268,12 @@ def _atom_perm_blocks(logic: FiniteLogic, budget, rows):
     the budget prunes its node and every later one.
     """
     if logic.is_boolean:
-        yield from _batched(_iter_atom_perms(logic, budget), rows)
+        perms = permutations(range(len(logic.atoms)))
+        within = islice(perms, max(budget, 0))
+        while block := list(islice(within, rows)):
+            yield block
+        if next(perms, None) is not None:
+            raise _budget_exceeded(budget, "candidates")
         return
     k = len(logic.atoms)
     omask = _orthogonality_masks(logic)
@@ -326,9 +312,7 @@ def _atom_perm_blocks(logic: FiniteLogic, budget, rows):
             continue
         stack.append((images, used[r] | bit[c], pre))
     if pruned or sum(seen) > budget:
-        raise SearchBudgetExceeded(
-            f"automorphism search visited {max(budget, 0) + 1} nodes"
-        )
+        raise _budget_exceeded(budget, "nodes")
 
 
 def _orthogonality_masks(logic: FiniteLogic) -> np.ndarray:
@@ -338,22 +322,37 @@ def _orthogonality_masks(logic: FiniteLogic) -> np.ndarray:
     return bitmasks(logic.leq[np.ix_(atoms, logic.ortho[atoms])])
 
 
-def _batched(perms, rows):
-    """Lists of at most ``rows`` items of ``perms``.  When the budget runs
-    out inside a list, the items already drawn are yielded first."""
-    while True:
-        block, exhausted = [], None
-        try:
-            for sigma in islice(perms, rows):
-                block.append(sigma)
-        except SearchBudgetExceeded as exc:
-            exhausted = exc
-        if block:
-            yield block
-        if exhausted is not None:
-            raise exhausted
-        if len(block) < rows:
-            return
+def _first_automorphism_with(logic: FiniteLogic, forced: dict, budget):
+    """The first automorphism, in the order of ``_atom_perm_blocks``,
+    whose atom permutation has sigma[i] = forced[i], and its 1-based index
+    among the permutations: (automorphism, index), or (None, the number
+    of permutations) when there is none.  Past the budget this raises
+    what the search raises there.
+
+    On a powerset every atom permutation extends, so the first with the
+    forced images is computed by ``_first_perm_with`` and extended once.
+    Otherwise the blocks are walked, and only the rows with the forced
+    images are extended.
+    """
+    ext = _atom_extender(logic)
+    if logic.is_boolean:
+        sigma, scanned = _first_perm_with(len(logic.atoms), forced, budget)
+        auto = ext.extend(sigma)
+        if auto is None:
+            raise InternalInvariantError(
+                "an atom permutation of a Boolean logic does not extend")
+        return auto, scanned
+    sources, targets = list(forced), list(forced.values())
+    rows = max(1, _EXTEND_ENTRIES // logic.n)
+    walked = 0
+    for block in _atom_perm_blocks(logic, budget, rows):
+        hits = np.flatnonzero((block[:, sources] == targets).all(axis=1))
+        if len(hits):
+            for hit, auto in zip(hits.tolist(), ext.extend_many(block[hits])):
+                if auto is not None:
+                    return auto, walked + hit + 1
+        walked += len(block)
+    return None, walked
 
 
 def iter_automorphisms(logic: FiniteLogic, budget=DEFAULT_SEARCH_BUDGET):

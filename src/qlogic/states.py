@@ -26,6 +26,7 @@ pairs at once, as the lemma and cloning sweeps do.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
@@ -52,8 +53,21 @@ def format_rational(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
+# the largest decimal exponent ``parse_rational`` accepts: CPython's
+# default limit on the digits of an integer string, which ``json``
+# already enforces on integers
+_MAX_EXPONENT = 4300
+_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)$", re.IGNORECASE)
+
+
 def parse_rational(text: str) -> Fraction:
-    return Fraction(text.strip())
+    """"1/3", "0.5" or "25e-2" as a ``Fraction``.  An exponent beyond
+    ``_MAX_EXPONENT`` is refused: ``Fraction`` would build 10 to it."""
+    text = text.strip()
+    exponent = _EXPONENT.search(text)
+    if exponent and abs(int(exponent[1])) > _MAX_EXPONENT:
+        raise ValueError(f"decimal exponent beyond {_MAX_EXPONENT}")
+    return Fraction(text)
 
 
 class State:

@@ -2,6 +2,7 @@
 against.  Nothing under ``src/`` calls them."""
 
 from fractions import Fraction
+from functools import partial
 from itertools import permutations
 
 import numpy as np
@@ -639,8 +640,9 @@ def automorphisms_generic(logic, budget=10 ** 6):
 def atom_perms_recursive(logic, budget):
     """Atom-position permutations that respect orthogonality, by a
     recursive backtracker that tests each candidate image pairwise
-    against every atom placed before: the reference for the order, the
-    node count and the budget message of ``morphisms._iter_atom_perms``.
+    against every atom placed before, one tuple at a time: the reference
+    for the order, the budget unit (candidates on a powerset, nodes
+    otherwise) and the budget message of ``morphisms._atom_perm_blocks``.
     The generator returns the number of nodes it visited."""
     atoms = logic.atoms
     k = len(atoms)
@@ -693,12 +695,12 @@ def extend_one(ext, sigma):
     weights = 1 << np.array(sigma, dtype=ext.dtype)
     new_masks = ext.bits @ weights
     idx = np.searchsorted(ext.sorted_masks, new_masks)
-    if not ext.trivial:
+    if not logic.is_boolean:
         if idx.max() >= logic.n or not np.array_equal(
                 ext.sorted_masks[idx], new_masks):
             return None
     tmap = ext.sort_order[idx]
-    if not ext.trivial:
+    if not logic.is_boolean:
         if not np.array_equal(tmap[ext.ortho], ext.ortho[tmap]):
             return None
     return Automorphism(logic, logic, tuple(int(x) for x in tmap))
@@ -713,21 +715,31 @@ def automorphisms_by_oracle(logic, ext, budget):
             yield auto
 
 
+def first_automorphism_scan(logic, extend, forced, budget):
+    """(first automorphism or None, permutations scanned) by testing each
+    forced image ``forced[i]`` of each permutation in turn and extending
+    the matches with ``extend``: the reference for
+    ``morphisms._first_automorphism_with``."""
+    scanned = 0
+    for sigma in atom_perms_recursive(logic, budget):
+        scanned += 1
+        if any(sigma[i] != j for i, j in forced.items()):
+            continue
+        auto = extend(sigma)
+        if auto is not None:
+            return auto, scanned
+    return None, scanned
+
+
 def clone_scan(problem, ext, budget):
-    """(permutations scanned, first cloner or None) by testing each
-    required atom image of each permutation in turn: the reference for
-    the cloner and the count of ``cloning.clone_search``, walked or
+    """(permutations scanned, first cloner or None) of the scan above with
+    each copied meet atom forced onto its input meet atom: the reference
+    for the cloner and the count of ``cloning.clone_search``, walked or
     computed."""
     ambient = problem.composite.ambient
     pos = {a: i for i, a in enumerate(ambient.atoms)}
-    needed = [(pos[problem.copied_atom[e]], pos[problem.input_atom[e]])
-              for e in problem.C]
-    scanned = 0
-    for sigma in atom_perms_recursive(ambient, budget):
-        scanned += 1
-        if any(sigma[i] != j for i, j in needed):
-            continue
-        cloner = extend_one(ext, sigma)
-        if cloner is not None:
-            return scanned, cloner
-    return scanned, None
+    forced = {pos[problem.copied_atom[e]]: pos[problem.input_atom[e]]
+              for e in problem.C}
+    cloner, scanned = first_automorphism_scan(
+        ambient, partial(extend_one, ext), forced, budget)
+    return scanned, cloner

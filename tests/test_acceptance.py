@@ -31,7 +31,7 @@ from qlogic.composite import boolean_product, check_lemma2, check_lemma3
 from qlogic.core import validate_logic
 from qlogic.errors import AxiomViolation, UndefinedTransition
 from qlogic.morphisms import (
-    _iter_atom_perms,
+    _atom_perm_blocks,
     automorphisms,
     check_lemma1a,
     check_lemma1b,
@@ -279,12 +279,11 @@ def test_criterion_7_theorem1_certificates(products):
     count = 0
     from qlogic.morphisms import _atom_extender
     extender = _atom_extender(ambient)
-    for i, sigma in enumerate(_iter_atom_perms(ambient, budget=500_000)):
-        count += 1
-        if i % 50_000 == 0:
-            auto = extender.extend(sigma)
-            assert auto is not None
-            assert auto.map[ambient.zero] == ambient.zero
+    for block in _atom_perm_blocks(ambient, 500_000, 50_000):
+        count += len(block)
+        auto = extender.extend(block[0])
+        assert auto is not None
+        assert auto.map[ambient.zero] == ambient.zero
     assert count == 362880
 
     problems3 = 0

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+from fractions import Fraction as F
 
 import pytest
 
@@ -135,6 +136,18 @@ def test_input_error_is_exit_2(fixture_files, capsys, tmp_path):
         assert detail in payload["detail"], (argv, payload)
 
 
+def test_parse_rational_reads_fractions_decimals_and_exponents():
+    assert parse_rational("1/3") == F(1, 3)
+    assert parse_rational(" 0.5 ") == F(1, 2)
+    assert parse_rational("25e-2") == F(1, 4)
+    assert parse_rational("1E4300") == 10 ** 4300
+    assert parse_rational("-1e-4300") == F(-1, 10 ** 4300)
+    # Fraction would build 10 to the exponent's power before any check
+    for text in ("1e-99999999", "1E+4301", " 3e-4301 ", "1e"):
+        with pytest.raises(ValueError):
+            parse_rational(text)
+
+
 def test_unknown_label_is_input_error(fixture_files, capsys):
     code, out = run(capsys, "transprob", fixture_files["MO2"], "nope", "a")
     assert code == 2
@@ -178,6 +191,10 @@ def _raise(exc):
     (["atoms", "{tmp}/infinite_index.json"], None, 2, "error", "input"),
     (["condprob", "{tmp}/int_values.json", "--given", "x"], None,
      2, "error", "input"),
+    # the decoder recurses once per nesting level
+    (["validate", "{tmp}/deep.json"], None, 2, "error", "input"),
+    (["condprob", "{tmp}/huge_exponent.json", "--given", "x"], None,
+     2, "error", "input"),
     (["compat", "{MO2}", "--members", "a,b", "--budget", "0"], None,
      3, "error", "budget_exceeded"),
     (["autos", "{stateless}", "--budget", "10"], None,
@@ -188,7 +205,8 @@ def _raise(exc):
 ], ids=["states-stateless", "check-F-stateless", "refuted", "missing-file",
         "not-json", "bad-vector", "unknown-label", "unwritable-output",
         "nan-matrix", "bad-dimension", "bad-hilbert-dim", "nan-tolerance",
-        "no-trials", "infinite-index", "non-string-value", "budget",
+        "no-trials", "infinite-index", "non-string-value", "deep-json",
+        "huge-exponent", "budget",
         "budget-beyond-62-atoms", "internal"])
 def test_error_exit_codes(fixture_files, capsys, monkeypatch, tmp_path,
                           argv, patch, code, field, kind):
@@ -204,6 +222,10 @@ def test_error_exit_codes(fixture_files, capsys, monkeypatch, tmp_path,
         json.dumps(dict(logic, one=float("inf"))))
     (tmp_path / "int_values.json").write_text(json.dumps(
         {"logic": fixture_files["boolean2"], "values": [0, 1, 0, 1]}))
+    (tmp_path / "deep.json").write_text("[" * 200_000)
+    (tmp_path / "huge_exponent.json").write_text(json.dumps(
+        {"logic": fixture_files["boolean2"],
+         "values": ["0", "1e-99999999", "1/2", "1"]}))
     argv = [a.format(tmp=tmp_path, **fixture_files) for a in argv]
     got, out = run(capsys, *argv, "--format", "json")
     assert got == code

@@ -12,7 +12,7 @@ from oracles import (
     definition_on_atomic_states,
     definition_on_vertices,
 )
-from qlogic import cloning
+from qlogic import cloning, morphisms
 from qlogic.builders import boolean_algebra, mo_logic
 from qlogic.cloning import (
     CloneProblem,
@@ -358,31 +358,39 @@ def test_first_perm_with_matches_the_lexicographic_walk(case):
 
 def test_clone_search_on_a_powerset_does_not_walk(prod22, prod33,
                                                   monkeypatch):
-    def walk(logic, budget):
+    def walk(logic, budget, rows):
         raise AssertionError("the atom permutations were walked")
         yield
 
-    monkeypatch.setattr(cloning, "_iter_atom_perms", walk)
+    monkeypatch.setattr(morphisms, "_atom_perm_blocks", walk)
     for problem in _all_problems(prod22) + _all_problems(prod33):
         assert clone_search(problem).cloner is not None
 
 
 @pytest.mark.parametrize("k", [2, 3])
-def test_walk_agrees_with_the_closed_form(k):
-    # a fresh product whose ambient is read as not Boolean before its
-    # first search takes the walk kept for other ambients: the block atom
-    # search and the extension by mask lookup with searchsorted
+def test_walk_agrees_with_the_closed_form(k, monkeypatch):
+    # a fresh product whose ambient is read as not Boolean takes the walk
+    # kept for other ambients: the block atom search and the extension by
+    # mask lookup with searchsorted
     factor = validate_logic(boolean_algebra(k))
     closed = [clone_search(problem)
               for problem in _all_problems(boolean_product(factor))]
     comp = boolean_product(factor)
     problems = _all_problems(comp)
     comp.ambient.__dict__["is_boolean"] = False
-    assert not _atom_extender(comp.ambient).trivial
+    walks = []
+    real = morphisms._atom_perm_blocks
+
+    def counted(logic, budget, rows):
+        walks.append(logic)
+        return real(logic, budget, rows)
+
+    monkeypatch.setattr(morphisms, "_atom_perm_blocks", counted)
     for problem, expected in zip(problems, closed):
         report = clone_search(problem)
         assert report.scanned == expected.scanned
         assert report.cloner.map == expected.cloner.map
+    assert walks == [comp.ambient] * len(problems)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 import dataclasses
 import random
 from fractions import Fraction as F
-from itertools import islice, permutations
+from itertools import chain, islice, permutations
 
 import numpy as np
 import pytest
@@ -15,6 +15,7 @@ from oracles import (
     automorphisms_by_oracle,
     automorphisms_generic,
     extend_one,
+    first_automorphism_scan,
     order_is_mask_inclusion,
 )
 from qlogic import morphisms
@@ -34,7 +35,7 @@ from qlogic.morphisms import (
     Automorphism,
     _atom_extender,
     _atom_perm_blocks,
-    _iter_atom_perms,
+    _first_automorphism_with,
     automorphisms,
     check_lemma1a,
     check_lemma1b,
@@ -254,15 +255,19 @@ def _drain_blocks(logic, budget, rows):
     return perms, None
 
 
+def _first_perms(logic, count, budget=10 ** 6):
+    """The first ``count`` permutations of the block search, as tuples."""
+    rows = chain.from_iterable(_atom_perm_blocks(logic, budget, count))
+    return [tuple(map(int, row)) for row in islice(rows, count)]
+
+
 def _assert_search_and_extension_match_oracles(logic, data):
     perms, message, nodes = _drain(atom_perms_recursive(logic, 10 ** 9))
     assert message is None
-    assert list(_iter_atom_perms(logic, 10 ** 9)) == perms
     drawn = data.draw(st.integers(1, max(1, len(perms))), label="rows")
     # a negative budget stops at the first node, as a budget of 0 does
     for budget in (-1, 0, 1, nodes - 1, nodes):
         want = _drain(atom_perms_recursive(logic, budget))[:2]
-        assert _drain(_iter_atom_perms(logic, budget))[:2] == want
         assert (want[1] is None) == (budget == nodes)
         # the order, the budget message and the prefix before it do not
         # depend on where the blocks end
@@ -296,6 +301,123 @@ def test_atom_search_and_block_extension_match_oracles_on_pastings(logic,
     _assert_search_and_extension_match_oracles(logic, data)
 
 
+def _first_outcome(search, *args):
+    """(map or None, scanned) of a first-automorphism search, or the type
+    and message of its budget error."""
+    try:
+        auto, scanned = search(*args)
+    except SearchBudgetExceeded as exc:
+        return type(exc), str(exc)
+    return (None if auto is None else auto.map), scanned
+
+
+def _assert_first_automorphism_matches_oracle(logic, forced, reject=None):
+    """``_first_automorphism_with`` against the scan of the oracles at
+    budgets around the count, the permutation index and the node count at
+    which the answer is first reached.  Rows equal to ``reject`` do not
+    extend, in the library and in the oracle alike."""
+    ext = _atom_extender(logic)
+    real = ext.extend_many
+
+    def extend_many(sigmas):
+        return [None if tuple(map(int, s)) == reject else auto
+                for s, auto in zip(sigmas, real(sigmas))]
+
+    def oracle_extend(sigma):
+        return None if sigma == reject else extend_one(ext, sigma)
+
+    def both(budget):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ext, "extend_many", extend_many)
+            got = _first_outcome(_first_automorphism_with, logic, forced,
+                                 budget)
+        want = _first_outcome(first_automorphism_scan, logic, oracle_extend,
+                              forced, budget)
+        assert got == want, (forced, budget)
+        return got
+
+    nodes = _drain(atom_perms_recursive(logic, 10 ** 9))[2]
+    auto, index = both(nodes)
+    # the smallest budget that reaches the answer
+    low, high = 0, nodes
+    while low < high:
+        mid = (low + high) // 2
+        if both(mid)[0] is SearchBudgetExceeded:
+            low = mid + 1
+        else:
+            high = mid
+    for budget in (index - 1, index, nodes - 1):
+        both(budget)
+    assert both(low - 1)[0] is SearchBudgetExceeded
+    return auto, index
+
+
+def _check_first_automorphism(logic, data):
+    # a powerset computes its answer without the walk checked here
+    assert not logic.is_boolean
+    k = len(logic.atoms)
+    perms = list(atom_perms_recursive(logic, 10 ** 9))
+    # forced images read off a permutation the search lists
+    sigma = data.draw(st.sampled_from(perms), label="sigma")
+    sources = data.draw(st.lists(st.integers(0, k - 1), min_size=1,
+                                 max_size=k, unique=True), label="sources")
+    forced = {i: sigma[i] for i in sources}
+    auto, index = _assert_first_automorphism_matches_oracle(logic, forced)
+    assert auto is not None
+    # the first row with those images does not extend: the walk goes on
+    _assert_first_automorphism_matches_oracle(logic, forced,
+                                              reject=perms[index - 1])
+    # a partial injection no listed permutation matches: two orthogonal
+    # atoms forced onto two atoms that are not
+    atoms = logic.atoms
+    pairs = [(i, j) for i in range(k) for j in range(k) if i != j]
+    orth = [p for p in pairs if logic.orthogonal(*(atoms[x] for x in p))]
+    skew = [p for p in pairs if not logic.orthogonal(*(atoms[x] for x in p))]
+    if orth and skew:
+        (i, j), (a, b) = orth[0], skew[0]
+        assert _assert_first_automorphism_matches_oracle(
+            logic, {i: a, j: b}) == (None, len(perms))
+    # any drawn partial injection
+    image = data.draw(st.permutations(range(k)), label="image")
+    sources = data.draw(st.lists(st.integers(0, k - 1), min_size=1,
+                                 max_size=k, unique=True), label="sources")
+    _assert_first_automorphism_matches_oracle(
+        logic, {i: image[i] for i in sources})
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@given(data=st.data())
+@settings(max_examples=5, deadline=None)
+def test_first_automorphism_with_matches_the_oracle_scan(n, data):
+    _check_first_automorphism(validate_logic(mo_logic(n)), data)
+
+
+@st.composite
+def _loose_pastings(draw):
+    """Two or three blocks over a pool of seven atoms, each block sharing
+    at most one atom with the blocks before it, and none with a block of
+    two: no loops, so the pasting is a logic, and not a Boolean one."""
+    fresh = iter("abcdefg")
+    blocks = []
+    for _ in range(draw(st.integers(2, 3))):
+        used = sorted({a for block in blocks if len(block) > 2
+                       for a in block})
+        shared = draw(st.sampled_from([None] + used)) if used else None
+        size = draw(st.integers(3 if shared else 2, 3))
+        block = [shared] if shared else []
+        block += islice(fresh, size - len(block))
+        if len(block) == size:
+            blocks.append(tuple(block))
+    return validate_logic(greechie(blocks))
+
+
+@given(_loose_pastings(), st.data())
+@settings(max_examples=30, deadline=None)
+def test_first_automorphism_with_matches_the_oracle_scan_on_pastings(logic,
+                                                                    data):
+    _check_first_automorphism(logic, data)
+
+
 def test_block_search_matches_oracle_on_mo5():
     logic = validate_logic(mo_logic(5))
     perms, _, nodes = _drain(atom_perms_recursive(logic, 10 ** 9))
@@ -322,7 +444,7 @@ def test_block_extension_beyond_62_atoms():
     ext = _atom_extender(logic)
     k = len(logic.atoms)
     rng = random.Random(7)
-    rows = list(islice(_iter_atom_perms(logic, 10 ** 6), 3))
+    rows = _first_perms(logic, 3)
     rows += [tuple(rng.sample(range(k), k)) for _ in range(3)]
     got = ext.extend_many(rows)
     assert got == [extend_one(ext, r) for r in rows]
@@ -337,7 +459,7 @@ def test_block_search_beyond_62_atoms(budget):
     logic = load_fixture("stateless").logic()
     assert len(logic.atoms) >= 63
     first = list(islice(atom_perms_recursive(logic, 10 ** 6), 4))
-    assert list(islice(_iter_atom_perms(logic, 10 ** 6), 4)) == first
+    assert _first_perms(logic, 4) == first
     want = _drain(atom_perms_recursive(logic, budget))[:2]
     assert want[1] is not None
     for rows in (1, 3):
@@ -468,8 +590,8 @@ def _reordered_booleans(draw):
 def test_powerset_extension_matches_oracle_in_any_element_order(logic, data):
     # a powerset's extension reads each new mask as its own index among
     # the sorted masks; the oracle looks every mask up
+    assert logic.is_boolean
     ext = _atom_extender(logic)
-    assert ext.trivial
     k = len(logic.atoms)
     rows = data.draw(st.lists(st.permutations(range(k)).map(tuple),
                               min_size=1, max_size=12))
