@@ -25,9 +25,9 @@ from .composite import (
     check_condition_I,
     check_condition_J,
     check_lemma2,
-    check_lemma3,
     composite_from_dict,
     lemma2_sweep,
+    lemma3_sweep,
     structural_verdicts,
 )
 from .core import LogicDescription, list_of, validate_logic
@@ -423,9 +423,7 @@ def _cmd_lemma3(args):
     else:
         rhos = list(state_polytope(comp.ambient, budget=args.budget).vertices)
     try:
-        for rho in rhos:
-            for e, f in pairs:
-                check_lemma3(comp, e, f, rho)
+        lemma3_sweep(comp, rhos, pairs)
     except LemmaViolated as exc:
         return 1, {"command": "lemma3", "holds": False, "detail": str(exc)}
     return 0, {
@@ -435,7 +433,10 @@ def _cmd_lemma3(args):
 
 
 def _clone_problem(args):
-    comp = _load_composite(args.composite)
+    if (args.composite is None) == (args.composite_file is None):
+        raise LogicInputError(
+            "give the composite once: as an argument or as --composite FILE")
+    comp = _load_composite(args.composite or args.composite_file)
     factor = comp.factor
     C = [factor.index(lbl) for lbl in args.C.split(",") if lbl]
     f = factor.index(args.f)
@@ -675,16 +676,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state", help="state file; default: sweep all vertices")
     add_budget(p, DEFAULT_VERTEX_BUDGET)
 
+    def add_composite(p):
+        # positional as in lemma2 and lemma3, or as the older option
+        p.add_argument("composite", nargs="?")
+        p.add_argument("--composite", dest="composite_file", metavar="FILE")
+
     p = add("clone-search", _cmd_clone_search,
             help="search all ambient automorphisms for a cloner")
-    p.add_argument("--composite", required=True)
+    add_composite(p)
     p.add_argument("--C", required=True, help="comma-separated factor atoms")
     p.add_argument("--f", required=True, help="blank factor atom")
     add_budget(p, DEFAULT_SEARCH_BUDGET)
 
     p = add("certify-theorem1", _cmd_certify,
             help="replay the no-cloning forcing argument numerically")
-    p.add_argument("--composite", required=True)
+    add_composite(p)
     p.add_argument("--C", required=True)
     p.add_argument("--f", required=True)
     add_budget(p, DEFAULT_SEARCH_BUDGET)

@@ -276,12 +276,16 @@ class Lemma3Report:
     joint_atomic: bool           # rho = P_(pi1 e ^ pi2 f)
 
 
-def check_lemma3(comp: CompositeLogic, e: int, f: int, rho) -> Lemma3Report:
+def _require_lemma3_conditions(comp: CompositeLogic) -> None:
     if not (check_condition_I(comp).holds and check_condition_J(comp).holds):
         raise PreconditionFailed(
             "restriction equivalence requires both structural conditions"
         )
     require_state_conditions(comp.ambient, "the restriction equivalence")
+
+
+def check_lemma3(comp: CompositeLogic, e: int, f: int, rho) -> Lemma3Report:
+    _require_lemma3_conditions(comp)
     factor = comp.factor
     for x in (e, f):
         if not factor.is_atom(x):
@@ -298,6 +302,48 @@ def check_lemma3(comp: CompositeLogic, e: int, f: int, rho) -> Lemma3Report:
             details={"atoms": (e, f), "state": rho},
         )
     return Lemma3Report(True, (e, f), lhs, rhs)
+
+
+def lemma3_sweep(comp: CompositeLogic, rhos, pairs) -> int:
+    """``check_lemma3`` on every (e, f, rho) with rho in ``rhos`` (the
+    outer loop) and (e, f) in ``pairs`` (the inner one); returns the
+    number of tuples.
+
+    The preconditions are asked once, and each state is pulled back
+    along each projection at most once, when a tuple first needs it.
+    Every tuple is decided by the comparisons ``check_lemma3`` makes, in
+    its order, against the stored atomic states.  The first failing
+    tuple is replayed through ``check_lemma3``, so it raises what a loop
+    over the tuples raises.
+    """
+    if not (rhos and pairs):
+        return 0
+    _require_lemma3_conditions(comp)
+    factor = comp.factor
+    projections = (comp.pi1, comp.pi2)
+    for rho in rhos:
+        pulled = [None, None]
+
+        def restriction(i):
+            if pulled[i] is None:
+                pulled[i] = dual_state(projections[i], rho)
+            return pulled[i]
+
+        for e, f in pairs:
+            if not (factor.is_atom(e) and factor.is_atom(f)):
+                holds = False
+            else:
+                lhs = (restriction(0) == atomic_state(factor, e)
+                       and restriction(1) == atomic_state(factor, f))
+                joint = atomic_state(comp.ambient, meet_embed(comp, e, f))
+                holds = lhs == (rho == joint)
+            if not holds:
+                check_lemma3(comp, e, f, rho)
+                raise InternalInvariantError(
+                    f"the Lemma 3 sweep fails atoms {(e, f)} on {rho!r} "
+                    "and check_lemma3 passes them"
+                )
+    return len(rhos) * len(pairs)
 
 
 # ---------------------------------------------------------------------------

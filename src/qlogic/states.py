@@ -17,11 +17,16 @@ decompositions as one integer matrix: the constraint rows, the element
 values of a state and the state check all read it.
 
 On a powerset every state is a mixture of the point masses on the
-atoms, so the transition probabilities and atomic states are read off
-the order matrix there, with no LP: P(f|e) is 1 when e <= f, 0 when e
-is orthogonal to f and ranges over [0, 1] otherwise, and the atomic
-state of e is f -> [e <= f].  ``transitions`` asks a whole array of
-pairs at once, as the lemma and cloning sweeps do.
+atoms, so no LP runs there.  ``reduced_space`` is the one place that
+asks whether a logic is a powerset, and a ``PowersetStateSpace``
+answers every question off the order matrix: P(f|e) is 1 when e <= f,
+0 when e is orthogonal to f and ranges over [0, 1] otherwise; the
+atomic state of e is f -> [e <= f]; the vertices are the point masses,
+in the order basis enumeration lists them; F's witness averages the
+point masses that its LPs would find; G holds, H holds with only the
+zero vacuous, and the conditional of a state on e is its ratio state.
+``transitions`` asks a whole array of pairs at once, as the lemma and
+cloning sweeps do.
 """
 
 from __future__ import annotations
@@ -43,6 +48,7 @@ from .errors import (
     NotUnique,
     StateInvariantError,
     UndefinedTransition,
+    VertexBudgetExceeded,
     ZeroCondition,
 )
 
@@ -148,7 +154,8 @@ def _check_state(logic: FiniteLogic, vals) -> None:
 
 
 class ReducedStateSpace:
-    """Constraint system for the states of one logic, in atom coordinates.
+    """Constraint system for the states of one logic, in atom coordinates,
+    and the answers of the state layer by exact LP over it.
 
     ``counts`` is the read-only (n, k) integer matrix of the atom
     decompositions: ``counts[e, i]`` is 1 when atom i is in the
@@ -162,6 +169,7 @@ class ReducedStateSpace:
         self.atoms = logic.atoms
         self.k = len(self.atoms)
         self.counts = self._decompositions()
+        self.counts.flags.writeable = False
         additivity = self._additivity_rows()
         self.rows = tuple(map(tuple, additivity.tolist()))
         self.norm = self.indicator(logic.one)
@@ -174,44 +182,35 @@ class ReducedStateSpace:
     # -- construction ---------------------------------------------------
 
     def _decompositions(self):
+        # peel all elements at once: while r is not the zero, count the
+        # first atom a below r and continue with r ^ a'
         logic = self.logic
         atoms = list(self.atoms)
         below = logic.leq[atoms]  # below[i, r]: atom i <= r
-        if logic.is_boolean:
-            counts = below.T.astype(np.int8)
-        else:
-            # peel all elements at once: while r is not the zero, count
-            # the first atom a below r and continue with r ^ a'
-            meet = join_table(logic).meet
-            first = below.argmax(axis=0)
-            counts = np.zeros((logic.n, self.k), dtype=np.int8)
-            elems = r = np.arange(logic.n)
-            while (live := r != logic.zero).any():
-                elems, r = elems[live], r[live]
-                i = first[r]
-                counts[elems, i] = 1
-                # finiteness and validation guarantee an atom below r
-                # and the meet r ^ a'
-                stalled = ~below[i, r]
-                r = meet[r, np.take(atoms, i)]
-                stalled |= r < 0
-                if stalled.any():
-                    e = elems[stalled][0]
-                    raise InternalInvariantError(
-                        f"decomposition of {logic.labels[e]!r} stalled"
-                    )
-        counts.flags.writeable = False
+        meet = join_table(logic).meet
+        first = below.argmax(axis=0)
+        counts = np.zeros((logic.n, self.k), dtype=np.int8)
+        elems = r = np.arange(logic.n)
+        while (live := r != logic.zero).any():
+            elems, r = elems[live], r[live]
+            i = first[r]
+            counts[elems, i] = 1
+            # finiteness and validation guarantee an atom below r and the
+            # meet r ^ a'
+            stalled = ~below[i, r]
+            r = meet[r, np.take(atoms, i)]
+            stalled |= r < 0
+            if stalled.any():
+                e = elems[stalled][0]
+                raise InternalInvariantError(
+                    f"decomposition of {logic.labels[e]!r} stalled"
+                )
         return counts
 
     def _additivity_rows(self):
         """Integer rows s - e - f over the decompositions of every
         orthogonal pair e, f with join s, deduplicated and sorted."""
-        logic = self.logic
-        if logic.is_boolean:
-            # decompositions are atom sets and orthogonal pairs are
-            # disjoint unions, so every additivity row cancels exactly
-            return np.zeros((0, self.k), dtype=np.int8)
-        join = join_table(logic).join
+        join = join_table(self.logic).join
         counts = self.counts
         e, f = np.nonzero(np.triu(join >= 0))
         rows = counts[join[e, f]] - counts[e] - counts[f]  # entries in -2..1
@@ -256,10 +255,240 @@ class ReducedStateSpace:
     def face_rows(self, e: int):
         return ((self.indicator(e), 1),)
 
+    # -- answers ----------------------------------------------------------
+
+    def vertices(self, budget):
+        """The extreme states: the vertices of the base polyhedron."""
+        return tuple(map(self.state, rlp.enumerate_vertices_basis(
+            face(self.logic), budget)))
+
+    def condition_F(self) -> FaithfulnessReport:
+        """One state positive on e is found per element by maximizing the
+        value of e over the polytope; their uniform average is positive
+        everywhere at once, so faithfulness reduces to n - 1 objectives
+        over one system."""
+        logic = self.logic
+        poly = face(logic)
+        if not poly.feasible:
+            raise EmptyStateSpace(
+                "no state exists, so no faithful state exists")
+        maximizers = []
+        for e in range(logic.n):
+            if e == logic.zero:
+                continue
+            res = poly.solve(self.indicator(e), maximize=True)
+            if not res.optimal:
+                raise InternalInvariantError("bounded LP did not solve")
+            if res.value == 0:
+                return FaithfulnessReport(holds=False, failing_element=e)
+            maximizers.append(res.x)
+        # the average over one common denominator: integer sums per atom
+        nums, d = rlp._integer_row([x for p in maximizers for x in p])
+        d *= len(maximizers)
+        avg = [Fraction(sum(nums[i::self.k]), d) for i in range(self.k)]
+        return FaithfulnessReport(holds=True, witness=self.state(avg))
+
+    def condition_G(self, budget) -> UniqueConditionalsReport:
+        """Existence on polytope vertices plus a two-state gap test per
+        event.
+
+        Scaled restrictions of mixtures are convex combinations of scaled
+        vertex restrictions, so vertex existence implies existence for
+        every base state.  Non-uniqueness for any base yields two states
+        with value 1 on e agreeing below e, which the gap LP detects
+        coordinatewise unless every atom lies below e or e' and no gap
+        can open.
+        """
+        logic = self.logic
+        verts = _polytope_vertices(logic, budget)
+        for e in range(logic.n):
+            if e == logic.zero:
+                continue
+            # the maximum over the polytope is attained at a vertex
+            if all(v[e] == 0 for v in verts):
+                continue  # never conditionable; imposes nothing
+            v = _vertex_without_conditional(self, verts, e)
+            if v is not None:
+                return UniqueConditionalsReport(
+                    holds=False, failure_kind="non_existent",
+                    element=e, vertex=v,
+                )
+            gap = _uniqueness_gap(self, e)
+            if gap is not None:
+                return UniqueConditionalsReport(
+                    holds=False, failure_kind="non_unique",
+                    element=e, witnesses=gap,
+                )
+        return UniqueConditionalsReport(holds=True)
+
+    def condition_H(self, budget) -> StrongStateSpaceReport:
+        """The separation optimum for f not below e (maximize 1 - value(e)
+        on the face value(f) = 1) is attained at a face vertex, and the
+        face's vertices are exactly the polytope vertices lying on it, so
+        one vertex sweep answers every pair."""
+        logic = self.logic
+        verts = _polytope_vertices(logic, budget)
+        # ones[e, v]: vertex v gives e the value 1
+        ones = np.array([[x == 1 for x in v.values] for v in verts],
+                        dtype=bool).reshape(len(verts), logic.n).T
+        reached = ones.any(axis=1)
+        vacuous = tuple(np.flatnonzero(~reached).tolist())
+        # covered[f, e]: e has value 1 on every vertex where f has
+        covered = ~_bool_matmul(ones, ~ones.T)
+        bad = np.argwhere(covered & ~logic.leq & reached[:, None])
+        if bad.size:
+            f, e = bad[0].tolist()
+            return StrongStateSpaceReport(
+                holds=False, violating_pair=(e, f),
+                evidence=verts[int(np.flatnonzero(ones[f])[-1])],
+                vacuous_premises=vacuous,
+            )
+        return StrongStateSpaceReport(holds=True, vacuous_premises=vacuous)
+
+    def conditional(self, base: State, e: int) -> ConditionalResult:
+        """Each atom value minimized and maximized over the conditional
+        system of ``base`` on e."""
+        poly = self.polyhedron(_conditional_rows(self, base, e))
+        if not poly.feasible:
+            return ConditionalResult("non_existent", e, base)
+        p, gap = _atom_ranges(self, poly)
+        if gap is None:
+            return ConditionalResult("unique", e, base, state=self.state(p))
+        _, lo, hi = gap
+        return ConditionalResult("non_unique", e, base,
+                                 witnesses=(self.state(lo.x),
+                                            self.state(hi.x)))
+
+    def transition(self, f: int, e: int) -> TransitionProbability:
+        """value(f) minimized and maximized over the face value(e) = 1."""
+        on_e = face(self.logic, e)
+        obj = self.indicator(f)
+        lo = on_e.solve(obj)
+        if not lo.optimal:
+            return _transition(self.logic, e, 1, 0)  # raises
+        hi = on_e.solve(obj, maximize=True)
+        return _transition(self.logic, e, lo.value, hi.value)
+
+    def transitions(self, f, e):
+        """``transition_probability`` pair by pair, as object arrays of
+        ``Fraction``."""
+        low = np.empty(f.shape, dtype=object)
+        high = np.empty(f.shape, dtype=object)
+        for i in np.ndindex(f.shape):
+            try:
+                tp = transition_probability(self.logic, int(f[i]), int(e[i]))
+            except UndefinedTransition:
+                low[i], high[i] = _UNIT[1], _UNIT[0]
+            else:
+                low[i], high[i] = tp.low, tp.high
+        return low, high
+
+    def atomic(self, e: int) -> State:
+        """Each atom value minimized and maximized over the face of e."""
+        labels = self.logic.labels
+        on_e = face(self.logic, e)
+        if not on_e.feasible:
+            raise NotUnique(
+                f"no state assigns probability 1 to atom {labels[e]!r}"
+            )
+        p, gap = _atom_ranges(self, on_e)
+        if gap is not None:
+            i, lo, hi = gap
+            raise NotUnique(
+                f"states concentrated on atom {labels[e]!r} are not "
+                f"unique: value of {labels[self.atoms[i]]!r} ranges over "
+                f"[{lo.value}, {hi.value}]"
+            )
+        return self.state(p)
+
+
+class PowersetStateSpace(ReducedStateSpace):
+    """The states of a powerset: the simplex spanned by the point masses
+    on its atoms.
+
+    A decomposition is the set of atoms below an element and no
+    additivity row survives, so the base system is the normalization row
+    alone, and every answer is read off the order matrix with no LP.
+    """
+
+    def _decompositions(self):
+        return self.logic.leq[list(self.atoms)].T.astype(np.int8)
+
+    def _additivity_rows(self):
+        # orthogonal pairs are disjoint unions, so every row cancels
+        return np.zeros((0, self.k), dtype=np.int8)
+
+    def point_mass(self, a: int) -> State:
+        return State(self.logic, [_UNIT[x] for x in self.logic.leq[a].tolist()],
+                     _checked=True)
+
+    def vertices(self, budget):
+        """The point masses.  Basis enumeration tries the k one-column
+        bases of the normalization row and sorts the unit vectors it
+        finds, which puts the last atom first."""
+        if self.k > budget:
+            raise VertexBudgetExceeded(
+                f"{self.k} candidate bases exceed the budget {budget}"
+            )
+        return tuple(map(self.point_mass, reversed(self.atoms)))
+
+    def condition_F(self) -> FaithfulnessReport:
+        """The average of the maximizers the LP finds: from its starting
+        vertex, the point mass on the first atom, maximizing value(e)
+        ends at the point mass on the first atom below e.  So atom i gets
+        the share of nonzero elements whose first atom is i."""
+        logic = self.logic
+        if not self.k:
+            raise EmptyStateSpace(
+                "no state exists, so no faithful state exists")
+        first = np.delete(self.counts.argmax(axis=1), logic.zero)
+        tally = np.bincount(first, minlength=self.k).tolist()
+        return FaithfulnessReport(holds=True, witness=self.state(
+            [Fraction(t, logic.n - 1) for t in tally]))
+
+    def condition_G(self, budget) -> UniqueConditionalsReport:
+        # conditioning is classical: the ratio state is the one
+        # conditional, once the vertices are within the budget
+        _polytope_vertices(self.logic, budget)
+        return UniqueConditionalsReport(holds=True)
+
+    def condition_H(self, budget) -> StrongStateSpaceReport:
+        # the point masses on the atoms below f reach 1 on f, and one of
+        # them misses e unless f <= e; only the zero has no atom below it
+        _polytope_vertices(self.logic, budget)
+        return StrongStateSpaceReport(holds=True,
+                                      vacuous_premises=(self.logic.zero,))
+
+    def conditional(self, base: State, e: int) -> ConditionalResult:
+        """The ratio state: base(a)/base(e) on each atom a below e, which
+        sum to 1, and 0 on the others."""
+        p = [base[a] / base[e] if below else _UNIT[0]
+             for a, below in zip(self.atoms, self.counts[e].tolist())]
+        return ConditionalResult("unique", e, base, state=self.state(p))
+
+    def transition(self, f: int, e: int) -> TransitionProbability:
+        low, high = self.transitions(f, e)
+        return _transition(self.logic, e, int(low), int(high))
+
+    def transitions(self, f, e):
+        """The range of value(f) on the face value(e) = 1 as 0/1 int8
+        arrays (or scalars): the states there mix the point masses on the
+        atoms below e, so value(f) reaches 0 unless e <= f and 1 unless e
+        is orthogonal to f.  On the zero this reads 1 > 0."""
+        leq = self.logic.leq
+        return (leq[e, f].astype(np.int8),
+                (~leq[e, self.logic.ortho[f]]).astype(np.int8))
+
+    def atomic(self, e: int) -> State:
+        return self.point_mass(e)
+
 
 @derived
 def reduced_space(logic: FiniteLogic) -> ReducedStateSpace:
-    return ReducedStateSpace(logic)
+    """The state space of ``logic``, the closed forms on a powerset: the
+    one place where the state layer asks whether a logic is Boolean."""
+    return (PowersetStateSpace if logic.is_boolean
+            else ReducedStateSpace)(logic)
 
 
 @derived
@@ -287,8 +516,7 @@ class StatePolytope:
 def _polytope_vertices(logic, budget=DEFAULT_VERTEX_BUDGET):
     """The extreme states, enumerated and built once per logic and
     budget."""
-    return tuple(map(reduced_space(logic).state,
-                     rlp.enumerate_vertices_basis(face(logic), budget)))
+    return reduced_space(logic).vertices(budget)
 
 
 @derived
@@ -316,29 +544,10 @@ class FaithfulnessReport:
 def check_condition_F(logic: FiniteLogic) -> FaithfulnessReport:
     """Does some state give every nonzero event positive probability?
 
-    One state positive on e is found per element by maximizing the value
-    of e over the polytope; their uniform average is positive everywhere
-    at once, so faithfulness reduces to n - 1 objectives over one system.
+    The witness is the uniform average of one maximizer of value(e) per
+    nonzero e.
     """
-    space = reduced_space(logic)
-    poly = face(logic)
-    if not poly.feasible:
-        raise EmptyStateSpace("no state exists, so no faithful state exists")
-    maximizers = []
-    for e in range(logic.n):
-        if e == logic.zero:
-            continue
-        res = poly.solve(space.indicator(e), maximize=True)
-        if not res.optimal:
-            raise InternalInvariantError("bounded LP did not solve")
-        if res.value == 0:
-            return FaithfulnessReport(holds=False, failing_element=e)
-        maximizers.append(res.x)
-    # the average over one common denominator: integer sums per atom
-    nums, d = rlp._integer_row([x for p in maximizers for x in p])
-    d *= len(maximizers)
-    avg = [Fraction(sum(nums[i::space.k]), d) for i in range(space.k)]
-    return FaithfulnessReport(holds=True, witness=space.state(avg))
+    return reduced_space(logic).condition_F()
 
 
 # ---------------------------------------------------------------------------
@@ -397,17 +606,7 @@ def conditional_probability(logic: FiniteLogic, base: State,
         raise ZeroCondition(
             f"base state vanishes on {logic.labels[e]!r}; conditional undefined"
         )
-    space = reduced_space(logic)
-    poly = space.polyhedron(_conditional_rows(space, base, e))
-    if not poly.feasible:
-        return ConditionalResult("non_existent", e, base)
-
-    p, gap = _atom_ranges(space, poly)
-    if gap is None:
-        return ConditionalResult("unique", e, base, state=space.state(p))
-    _, lo, hi = gap
-    return ConditionalResult("non_unique", e, base,
-                             witnesses=(space.state(lo.x), space.state(hi.x)))
+    return reduced_space(logic).conditional(base, e)
 
 
 # ---------------------------------------------------------------------------
@@ -426,39 +625,9 @@ class UniqueConditionalsReport:
 @derived
 def check_condition_G(logic: FiniteLogic,
                       budget=DEFAULT_VERTEX_BUDGET) -> UniqueConditionalsReport:
-    """Existence on polytope vertices plus a two-state gap test per event.
-
-    Scaled restrictions of mixtures are convex combinations of scaled
-    vertex restrictions, so vertex existence implies existence for every
-    base state.  Non-uniqueness for any base yields two states with value
-    1 on e agreeing below e, which the gap LP detects coordinatewise
-    unless every atom lies below e or e' and no gap can open.  On a
-    Boolean logic conditioning is classical, the ratio state being the
-    one conditional, so G holds once the vertices are within the budget.
-    """
-    space = reduced_space(logic)
-    verts = _polytope_vertices(logic, budget)
-    if logic.is_boolean:
-        return UniqueConditionalsReport(holds=True)
-    for e in range(logic.n):
-        if e == logic.zero:
-            continue
-        # the maximum over the polytope is attained at a vertex
-        if all(v[e] == 0 for v in verts):
-            continue  # never conditionable; imposes nothing
-        v = _vertex_without_conditional(space, verts, e)
-        if v is not None:
-            return UniqueConditionalsReport(
-                holds=False, failure_kind="non_existent",
-                element=e, vertex=v,
-            )
-        gap = _uniqueness_gap(space, e)
-        if gap is not None:
-            return UniqueConditionalsReport(
-                holds=False, failure_kind="non_unique",
-                element=e, witnesses=gap,
-            )
-    return UniqueConditionalsReport(holds=True)
+    """Does every state with a nonzero value on e have exactly one
+    conditional on e?"""
+    return reduced_space(logic).condition_G(budget)
 
 
 def _vertex_without_conditional(space, verts, e):
@@ -532,27 +701,8 @@ class StrongStateSpaceReport:
 def check_condition_H(logic: FiniteLogic,
                       budget=DEFAULT_VERTEX_BUDGET) -> StrongStateSpaceReport:
     """For f not below e: some state must reach 1 on f but stay below 1
-    on e.  The separation optimum (maximize 1 - value(e) on the face
-    value(f) = 1) is attained at a face vertex, and the face's vertices
-    are exactly the polytope vertices lying on it, so one vertex sweep
-    answers every pair."""
-    verts = _polytope_vertices(logic, budget)
-    # ones[e, v]: vertex v gives e the value 1
-    ones = np.array([[x == 1 for x in v.values] for v in verts],
-                    dtype=bool).reshape(len(verts), logic.n).T
-    reached = ones.any(axis=1)
-    vacuous = tuple(np.flatnonzero(~reached).tolist())
-    # covered[f, e]: e has value 1 on every vertex where f has
-    covered = ~_bool_matmul(ones, ~ones.T)
-    bad = np.argwhere(covered & ~logic.leq & reached[:, None])
-    if bad.size:
-        f, e = bad[0].tolist()
-        return StrongStateSpaceReport(
-            holds=False, violating_pair=(e, f),
-            evidence=verts[int(np.flatnonzero(ones[f])[-1])],
-            vacuous_premises=vacuous,
-        )
-    return StrongStateSpaceReport(holds=True, vacuous_premises=vacuous)
+    on e."""
+    return reduced_space(logic).condition_H(budget)
 
 
 # ---------------------------------------------------------------------------
@@ -590,28 +740,8 @@ def _transition(logic: FiniteLogic, e: int, low, high) -> TransitionProbability:
 
 @derived
 def transition_probability(logic: FiniteLogic, f: int, e: int) -> TransitionProbability:
-    """Minimize and maximize value(f) over the face value(e) = 1; on a
-    powerset, read both off the order."""
-    if logic.is_boolean:
-        low, high = _order_range(logic, f, e)
-        return _transition(logic, e, int(low), int(high))
-    on_e = face(logic, e)
-    obj = reduced_space(logic).indicator(f)
-    lo = on_e.solve(obj)
-    if not lo.optimal:
-        return _transition(logic, e, 1, 0)  # raises
-    hi = on_e.solve(obj, maximize=True)
-    return _transition(logic, e, lo.value, hi.value)
-
-
-def _order_range(logic: FiniteLogic, f, e):
-    """The range of value(f) on the face value(e) = 1 of a powerset, as
-    0/1 int8 arrays (or scalars): the states there mix the point masses
-    on the atoms below e, so value(f) reaches 0 unless e <= f and 1
-    unless e is orthogonal to f.  On the zero this reads 1 > 0."""
-    leq = logic.leq
-    return (leq[e, f].astype(np.int8),
-            (~leq[e, logic.ortho[f]]).astype(np.int8))
+    """The range of value(f) over the states with value 1 on e."""
+    return reduced_space(logic).transition(f, e)
 
 
 def transitions(logic: FiniteLogic, f, e):
@@ -625,18 +755,7 @@ def transitions(logic: FiniteLogic, f, e):
     """
     f, e = np.broadcast_arrays(np.asarray(f, dtype=np.intp),
                                np.asarray(e, dtype=np.intp))
-    if logic.is_boolean:
-        return _order_range(logic, f, e)
-    low = np.empty(f.shape, dtype=object)
-    high = np.empty(f.shape, dtype=object)
-    for i in np.ndindex(f.shape):
-        try:
-            tp = transition_probability(logic, int(f[i]), int(e[i]))
-        except UndefinedTransition:
-            low[i], high[i] = _UNIT[1], _UNIT[0]
-        else:
-            low[i], high[i] = tp.low, tp.high
-    return low, high
+    return reduced_space(logic).transitions(f, e)
 
 
 @derived
@@ -649,25 +768,7 @@ def atomic_state(logic: FiniteLogic, e: int) -> State:
     """
     if not logic.is_atom(e):
         raise NotAnAtom(f"{logic.labels[e]!r} is not an atom")
-    if logic.is_boolean:
-        # the point mass on e
-        return State(logic, [_UNIT[x] for x in logic.leq[e].tolist()],
-                     _checked=True)
-    space = reduced_space(logic)
-    on_e = face(logic, e)
-    if not on_e.feasible:
-        raise NotUnique(
-            f"no state assigns probability 1 to atom {logic.labels[e]!r}"
-        )
-    p, gap = _atom_ranges(space, on_e)
-    if gap is not None:
-        i, lo, hi = gap
-        raise NotUnique(
-            f"states concentrated on atom {logic.labels[e]!r} are not unique: "
-            f"value of {logic.labels[space.atoms[i]]!r} ranges over "
-            f"[{lo.value}, {hi.value}]"
-        )
-    return space.state(p)
+    return reduced_space(logic).atomic(e)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ import numpy as np
 from qlogic.cloning import CertificatePair
 from qlogic.compat import is_compatible_subset
 from qlogic.core import _bool_matmul
+from qlogic.composite import check_lemma3
 from qlogic.errors import (
     AxiomViolation,
     CertificateFailed,
@@ -18,8 +19,10 @@ from qlogic.errors import (
     VertexBudgetExceeded,
 )
 from qlogic.morphisms import Automorphism, dual_state
-from qlogic.rational_lp import LPResult, Polyhedron
+from qlogic.rational_lp import LPResult, Polyhedron, enumerate_vertices_basis
 from qlogic.states import (
+    ConditionalResult,
+    FaithfulnessReport,
     StrongStateSpaceReport,
     TransitionProbability,
     UniqueConditionalsReport,
@@ -304,6 +307,61 @@ def uniqueness_gap(space, e):
     return None
 
 
+def vertices_lp(logic, budget=100_000):
+    """The extreme states by basis enumeration over a new base
+    polyhedron: the LP path of ``states.state_polytope``, and the
+    reference for the point masses it lists on a powerset."""
+    space = reduced_space(logic)
+    poly = Polyhedron(*space.system())
+    return tuple(map(space.state, enumerate_vertices_basis(poly, budget)))
+
+
+def faithful_lp(logic):
+    """Condition (F) by one phase-2 LP per nonzero element over a new base
+    polyhedron, maximizing its value; the witness is the uniform average
+    of the maximizers.  The LP path of ``states.check_condition_F``."""
+    space = reduced_space(logic)
+    poly = Polyhedron(*space.system())
+    if not poly.feasible:
+        raise EmptyStateSpace("no state exists, so no faithful state exists")
+    maximizers = []
+    for e in range(logic.n):
+        if e == logic.zero:
+            continue
+        res = poly.solve(space.indicator(e), maximize=True)
+        if res.value == 0:
+            return FaithfulnessReport(holds=False, failing_element=e)
+        maximizers.append(res.x)
+    avg = [sum(p[i] for p in maximizers) / len(maximizers)
+           for i in range(space.k)]
+    return FaithfulnessReport(holds=True, witness=space.state(avg))
+
+
+def conditional_lp(logic, base, e):
+    """The conditionals of ``base`` on e by LP: each atom value minimized
+    and maximized over a new conditional system.  The LP path of
+    ``states.conditional_probability``."""
+    space = reduced_space(logic)
+    poly = Polyhedron(*space.system(_conditional_rows(space, base, e)))
+    if not poly.feasible:
+        return ConditionalResult("non_existent", e, base)
+    p, gap = _atom_ranges(space, poly)
+    if gap is None:
+        return ConditionalResult("unique", e, base, state=space.state(p))
+    _, lo, hi = gap
+    return ConditionalResult("non_unique", e, base,
+                             witnesses=(space.state(lo.x), space.state(hi.x)))
+
+
+def lemma3_per_tuple(comp, rhos, pairs):
+    """``check_lemma3`` on every (e, f, rho), rho the outer loop: the
+    reference for ``composite.lemma3_sweep``."""
+    for rho in rhos:
+        for e, f in pairs:
+            check_lemma3(comp, e, f, rho)
+    return len(rhos) * len(pairs)
+
+
 def transition_per_call(logic, f, e):
     """P(f|e) as ``states.transition_probability`` computed it before
     faces were stored: a new face polyhedron value(e) = 1, with its own
@@ -393,15 +451,17 @@ def unique_conditionals_per_vertex(logic, budget=100_000):
     return UniqueConditionalsReport(holds=True)
 
 
-def strong_state_space(logic, budget=100_000):
+def strong_state_space(logic, budget=100_000, verts=None):
     """Condition (H) by a double loop over element pairs on per-element
     vertex bitmasks: the first (f, e) in row-major order with f not
     below e whose mask of value-1 vertices is inside e's, with the last
-    such vertex of f as evidence."""
-    try:
-        verts = state_polytope(logic, budget).vertices
-    except EmptyStateSpace:
-        verts = ()
+    such vertex of f as evidence.  The vertices are ``verts`` if given,
+    else the library's."""
+    if verts is None:
+        try:
+            verts = state_polytope(logic, budget).vertices
+        except EmptyStateSpace:
+            verts = ()
     ones = []
     for e in range(logic.n):
         ones.append(sum(1 << vi for vi, v in enumerate(verts) if v[e] == 1))

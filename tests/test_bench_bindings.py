@@ -7,30 +7,14 @@ show up in a traced benchmark run, so each binding is resolved here.
 """
 
 import importlib
-import importlib.util
-import sys
-from pathlib import Path
 
 import pytest
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-
-
-def _wrapped():
-    name = "perfbench_tracing"
-    spec = importlib.util.spec_from_file_location(name, TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    # its dataclasses look their module up in sys.modules
-    sys.modules[name] = tracing
-    try:
-        spec.loader.exec_module(tracing)
-    finally:
-        del sys.modules[name]
-    return tracing.WRAPPED
+from perfbench_import import load
 
 
 @pytest.mark.parametrize("modname, attr, clsname",
-                         [entry[:3] for entry in _wrapped()])
+                         [entry[:3] for entry in load("tracing").WRAPPED])
 def test_tracer_binding_resolves(modname, attr, clsname):
     home = importlib.import_module(modname)
     if clsname is None:

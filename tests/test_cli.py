@@ -265,6 +265,25 @@ def test_certify_theorem1(fixture_files, capsys):
     assert json.loads(out)["holds"]
 
 
+@pytest.mark.parametrize("command, blank", [("clone-search", "x"),
+                                            ("certify-theorem1", "y")])
+def test_clone_commands_take_the_composite_either_way(
+        fixture_files, capsys, command, blank):
+    # positional as in lemma2 and lemma3, or as --composite FILE, with
+    # the same output; both spellings or neither is an input error
+    path = fixture_files["prod22"]
+    args = ["--C", "x,y", "--f", blank, "--format", "json"]
+    code, out = run(capsys, command, "--composite", path, *args)
+    assert code == 0
+    assert run(capsys, command, path, *args) == (code, out)
+    for spelling in ([path, "--composite", path], []):
+        code, out = run(capsys, command, *spelling, *args)
+        assert code == 2
+        payload = json.loads(out)
+        assert (payload["command"], payload["error"]) == (command, "input")
+        assert "--composite FILE" in payload["detail"]
+
+
 def test_atoms_compat_autos(fixture_files, capsys):
     code, out = run(capsys, "atoms", fixture_files["boolean3"],
                     "--format", "json")

@@ -4,7 +4,10 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from qlogic import composite
 from qlogic.builders import boolean_algebra, greechie, mo_logic
 from qlogic.cloning import CloneProblem
@@ -17,19 +20,27 @@ from qlogic.composite import (
     composite_from_dict,
     embedded_meets,
     lemma2_sweep,
+    lemma3_sweep,
     make_composite,
     meet_embed,
 )
 from qlogic.core import LogicDescription, meets, validate_logic
 from qlogic.errors import (
+    LemmaViolated,
     LogicInputError,
     NoInfimum,
     NotBoolean,
     PreconditionFailed,
+    QLogicError,
 )
 from qlogic.fixtures import load_fixture
 from qlogic.morphisms import dual_state
-from qlogic.states import atomic_state, state_polytope, transition_probability
+from qlogic.states import (
+    State,
+    atomic_state,
+    state_polytope,
+    transition_probability,
+)
 
 
 @pytest.fixture(scope="module")
@@ -333,6 +344,74 @@ def test_restrictions_send_states_to_states(prod22):
     for rho in state_polytope(prod22.ambient).vertices:
         dual_state(prod22.pi1, rho)
         dual_state(prod22.pi2, rho)
+
+
+def _lemma3_outcome(check, comp, rhos, pairs):
+    """What a Lemma 3 check over all tuples returns, or the type and text
+    of what it raises."""
+    try:
+        return check(comp, rhos, pairs)
+    except QLogicError as exc:
+        return type(exc), str(exc)
+
+
+def _lemma3_inputs(comp):
+    """The ambient's vertices and two mixtures, and every atom pair."""
+    verts = list(state_polytope(comp.ambient).vertices)
+    rhos = verts + [verts[0].mix(verts[-1], F(1, 3)),
+                    verts[1].mix(verts[2], F(1, 2))]
+    atoms = comp.factor.atoms
+    return rhos, [(e, f) for e in atoms for f in atoms]
+
+
+@pytest.mark.parametrize("name", ["prod22", "prod33"])
+def test_lemma3_sweep_matches_the_per_tuple_loop(name):
+    comp = load_fixture(name).composite()
+    rhos, pairs = _lemma3_inputs(comp)
+    assert (lemma3_sweep(comp, rhos, pairs)
+            == oracles.lemma3_per_tuple(comp, rhos, pairs)
+            == len(rhos) * len(pairs))
+    assert lemma3_sweep(comp, [], pairs) == lemma3_sweep(comp, rhos, []) == 0
+
+
+def test_lemma3_sweep_replays_a_violation(prod22):
+    # the joint atomic state changed off both embedded copies: its
+    # restrictions stay atomic, but it is no longer the joint state
+    ambient = prod22.ambient
+    x, y = prod22.factor.atoms
+    joint = atomic_state(ambient, meet_embed(prod22, x, y))
+    images = set(prod22.pi1.map) | set(prod22.pi2.map)
+    e = next(e for e in range(ambient.n) if e not in images)
+    values = list(joint.values)
+    values[e] = F(1, 2)
+    rhos, pairs = _lemma3_inputs(prod22)
+    rhos.insert(2, State(ambient, values, _checked=True))
+    got = _lemma3_outcome(lemma3_sweep, prod22, rhos, pairs)
+    assert got == _lemma3_outcome(oracles.lemma3_per_tuple, prod22, rhos,
+                                  pairs)
+    assert got[0] is LemmaViolated and "joint atomic = False" in got[1]
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_lemma3_sweep_fails_where_the_loop_fails(data):
+    # one state with a drawn value changed, unchecked, at a drawn place
+    # among the states, and a drawn pair that may not be atoms: the sweep
+    # raises what the loop over the tuples raises first, or passes too
+    comp = load_fixture("prod22").composite()
+    ambient, factor = comp.ambient, comp.factor
+    rhos, pairs = _lemma3_inputs(comp)
+    values = list(data.draw(st.sampled_from(rhos)).values)
+    e = data.draw(st.integers(0, ambient.n - 1))
+    values[e] = data.draw(st.sampled_from([F(0), F(1, 2), F(1)]))
+    rhos.insert(data.draw(st.integers(0, len(rhos))),
+                State(ambient, values, _checked=True))
+    if data.draw(st.booleans()):
+        pair = tuple(data.draw(st.integers(0, factor.n - 1))
+                     for _ in range(2))
+        pairs.insert(data.draw(st.integers(0, len(pairs))), pair)
+    assert (_lemma3_outcome(lemma3_sweep, comp, rhos, pairs)
+            == _lemma3_outcome(oracles.lemma3_per_tuple, comp, rhos, pairs))
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ import oracles
 from oracles import FractionPolyhedron, enumerate_vertices_dd
 from qlogic import rational_lp as rlp
 from qlogic.builders import mo_logic
+from qlogic.composite import lemma3_sweep, make_composite
 from qlogic.core import validate_logic
 from qlogic.errors import (
     EmptyStateSpace,
@@ -25,9 +26,11 @@ from qlogic.states import (
     _uniqueness_gap,
     check_condition_F,
     check_condition_G,
+    check_condition_H,
     conditional_probability,
     face,
     reduced_space,
+    state_polytope,
     transition_probability,
 )
 
@@ -377,16 +380,25 @@ def test_pivot_sequence_systems_cover_scales_and_doubling(monkeypatch):
 
 
 def test_condition_G_on_boolean_ambient_builds_no_face(monkeypatch):
-    # every atom of the 512-element prod33 ambient lies below e or e', so
-    # the combinatorial gap test settles each element without an LP: the
-    # one polyhedron built is the base system the vertices come from
-    ambient = load_fixture("prod33").composite().ambient
-    logic = validate_logic(ambient.describe())  # fresh: nothing stored
-    base = reduced_space(logic).system()
-    calls = _lp_calls(monkeypatch, lambda: check_condition_G(logic))
-    assert check_condition_G(logic).holds
-    assert [(A.tolist(), b) for A, b, _ in calls] == [(base[0].tolist(),
-                                                       base[1])]
+    # on the 512-element prod33 ambient, a powerset, F, G, H, the
+    # vertices, conditioning and the Lemma 3 sweep are all closed forms:
+    # none of them builds a polyhedron, not even the base system
+    comp = load_fixture("prod33").composite()
+    logic = validate_logic(comp.ambient.describe())  # fresh: nothing stored
+    fresh = make_composite(comp.factor, logic, comp.pi1.map, comp.pi2.map)
+    factor = fresh.factor
+
+    def run():
+        witness = check_condition_F(logic).witness
+        given = logic.atoms[0]
+        assert conditional_probability(logic, witness, given).kind == "unique"
+        assert check_condition_G(logic).holds
+        assert check_condition_H(logic).holds
+        rhos = state_polytope(logic).vertices
+        pairs = [(e, f) for e in factor.atoms for f in factor.atoms]
+        assert lemma3_sweep(fresh, rhos, pairs) == len(rhos) * len(pairs)
+
+    assert _lp_calls(monkeypatch, run) == []
 
 
 def test_pivot_sequence_pastings_run_on_the_array_kernel(monkeypatch):

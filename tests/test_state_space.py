@@ -14,14 +14,24 @@ from hypothesis import strategies as st
 import oracles
 from qlogic.builders import boolean_algebra, greechie, mo_logic
 from qlogic.core import LogicDescription, validate_logic
-from qlogic.errors import QLogicError, StateInvariantError, UndefinedTransition
-from qlogic.fixtures import load_fixture
+from qlogic.errors import (
+    QLogicError,
+    StateInvariantError,
+    UndefinedTransition,
+    ZeroCondition,
+)
+from qlogic.fixtures import fixture_names, load_fixture
 from qlogic.states import (
     State,
     _uniqueness_gap,
     atomic_state,
+    check_condition_F,
+    check_condition_G,
     check_condition_H,
+    conditional_probability,
+    format_rational,
     reduced_space,
+    state_polytope,
     transition_probability,
     transitions,
 )
@@ -248,9 +258,9 @@ def test_powerset_atomic_states_match_the_lp(name):
 
 
 @st.composite
-def _shuffled_boolean_algebra(draw):
+def _shuffled_boolean_algebra(draw, max_atoms=4):
     """``boolean_algebra(k)`` with its elements listed in a drawn order."""
-    desc = boolean_algebra(draw(st.integers(1, 4)))
+    desc = boolean_algebra(draw(st.integers(1, max_atoms)))
     n = len(desc.labels)
     new = draw(st.permutations(range(n)))  # old index i -> new[i]
     labels, ortho = [None] * n, [None] * n
@@ -274,3 +284,87 @@ def test_powerset_paths_match_the_lp_in_any_element_order(desc):
     _assert_transitions_match_per_call(
         logic, [(f, e) for e in range(logic.n) for f in range(logic.n)])
     _assert_point_masses_match_lp(logic)
+
+
+# ---------------------------------------------------------------------------
+# powersets: the vertices, F, G, H and conditioning in closed form
+# ---------------------------------------------------------------------------
+
+def _outcome(call, *args):
+    """What a call returns, or the type and text of what it raises."""
+    try:
+        return call(*args)
+    except QLogicError as exc:
+        return type(exc), str(exc)
+
+
+def _assert_closed_forms_match_lp(logic, conditions):
+    """The powerset answers against their LP paths in ``oracles``: the
+    vertices and their order, the budget error at k - 1 candidate bases,
+    F's witness to the byte, G, H's report, and the conditionals of
+    three states on each of ``conditions``."""
+    assert logic.is_boolean
+    k = len(logic.atoms)
+    verts = oracles.vertices_lp(logic)
+    assert state_polytope(logic).vertices == verts
+    assert len(verts) == k
+    for budget in (k - 1, k):
+        want = _outcome(oracles.vertices_lp, logic, budget)
+        assert _outcome(lambda: state_polytope(logic, budget).vertices) == want
+        if budget < k:
+            for check in (check_condition_G, check_condition_H):
+                assert _outcome(check, logic, budget) == want
+    report = check_condition_F(logic)
+    want = oracles.faithful_lp(logic)
+    assert report == want
+    assert ([format_rational(v) for v in report.witness.values]
+            == [format_rational(v) for v in want.witness.values])
+    assert check_condition_G(logic).holds
+    assert check_condition_H(logic) == oracles.strong_state_space(
+        logic, verts=verts)
+    for base in (report.witness, verts[0], verts[0].mix(verts[-1], F(2, 7))):
+        for e in conditions:
+            if base[e] == 0:
+                with pytest.raises(ZeroCondition):
+                    conditional_probability(logic, base, e)
+            else:
+                got = conditional_probability(logic, base, e)
+                assert got == oracles.conditional_lp(logic, base, e), e
+
+
+def _fixture_powersets():
+    """(name, logic) for every powerset among the fixtures' logics and
+    their composites' factors and ambients."""
+    out = []
+    for name in fixture_names():
+        fx = load_fixture(name)
+        if fx.kind == "composite":
+            comp = fx.composite()
+            logics = [(f"{name}-factor", comp.factor),
+                      (f"{name}-ambient", comp.ambient)]
+        elif fx.kind == "logic" and fx.annotations["valid"]:
+            logics = [(name, fx.logic())]
+        else:
+            continue
+        out += [(label, logic) for label, logic in logics if logic.is_boolean]
+    return out
+
+
+@pytest.mark.parametrize("name, logic", _fixture_powersets(),
+                         ids=[name for name, _ in _fixture_powersets()])
+def test_powerset_closed_forms_match_the_lp_on_fixtures(name, logic):
+    # fresh: the stored answers of a shared fixture prove nothing here
+    logic = validate_logic(logic.describe())
+    conditions = range(logic.n)
+    if logic.n > 64:
+        conditions = random.Random(name).sample(conditions, 24)
+    _assert_closed_forms_match_lp(logic, conditions)
+
+
+@given(_shuffled_boolean_algebra(6), st.data())
+@settings(max_examples=25, deadline=None)
+def test_powerset_closed_forms_match_the_lp_in_any_element_order(desc, data):
+    logic = validate_logic(desc)
+    conditions = data.draw(st.lists(st.integers(0, logic.n - 1),
+                                    max_size=8, unique=True))
+    _assert_closed_forms_match_lp(logic, conditions)

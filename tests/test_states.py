@@ -411,19 +411,18 @@ def test_lemma2_sweep_builds_no_polyhedron(monkeypatch, tmp_path, capsys):
     assert built == []
 
 
-def test_lemma3_sweep_builds_only_the_base(monkeypatch, tmp_path, capsys):
-    # the vertex sweep's condition F and vertex enumeration read one
-    # stored base polyhedron of the ambient; the atomic states of the
-    # powerset factor and ambient are point masses and build no face
-    # (12 did while they came from LPs)
+def test_lemma3_sweep_builds_no_polyhedron(monkeypatch, tmp_path, capsys):
+    # factor and ambient of prod33 are powersets: the vertices, F's
+    # witness, G, H and the atomic states are all read off the order, so
+    # the sweep runs no phase 1 (12 faces did while the atomic states came
+    # from LPs, and then the base did while F and the vertices did)
     path = str(tmp_path / "prod33.json")
     assert cli.main(["fixture", "export", "prod33", path]) == 0
     built = _record_builds(monkeypatch)
     capsys.readouterr()
     assert cli.main(["lemma3", path, "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["holds"]
-    # a powerset has no additivity rows: the base is the normalization row
-    assert [b for _, b in built] == [(1,)]
+    assert built == []
 
 
 def test_condition_F_and_vertices_build_the_base_once(monkeypatch):
