@@ -327,7 +327,7 @@ def _cmd_product(args):
 
 def _cmd_check_I(args):
     comp = _load_composite(args.composite)
-    rep = check_condition_I(comp, budget=args.budget)
+    rep = check_condition_I(comp)
     return (0 if rep.holds else 1), {
         "command": "check-I", "holds": rep.holds,
     }
@@ -652,7 +652,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("check-I", _cmd_check_I,
             help="mutual compatibility of the embedded copies")
     p.add_argument("composite")
-    add_budget(p, DEFAULT_NODE_BUDGET)
 
     p = add("check-J", _cmd_check_J,
             help="embedded atom meets must be atoms")

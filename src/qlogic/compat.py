@@ -1,23 +1,35 @@
-"""Compatibility: enclosing Boolean sublattices inside an event logic.
+"""Compatibility: enclosing Boolean subalgebras inside an event logic.
 
-A subset is compatible when some subset B between it and the whole logic
-is closed under orthocomplement and suprema of orthogonal pairs,
-contains the bounds, and is a Boolean algebra in the induced order.  The
-closure of the members under those operations is contained in every
-such B, so the search grows closed supersets from that minimal
-candidate, adding generators in index order.  Closures read the logic's
-join table, and each candidate is tested by ``core.is_powerset`` on its
-induced order and ', the mask test that also decides
-``FiniteLogic.is_boolean``.
+A subset is compatible when some subset between it and the whole logic
+is closed under ' and suprema of orthogonal pairs, holds 0 and 1, and is
+a Boolean algebra in the induced order.  Say a maximal orthogonal set M
+of atoms splits s when each atom of M lies below s or below s'.  A set
+is compatible exactly when some M splits each of its members.  (<=) The joins of subsets of M are closed
+under ' and orthogonal joins and form a Boolean algebra, and a split s
+is the join of the atoms of M below it.  (=>) Split each atom of an
+enclosing Boolean subalgebra into a maximal orthogonal set of atoms
+below it; by orthomodularity, e = j v (e ^ j'), so these sets join back
+to each atom.  The sets M, ``blocks``, are the maximal cliques of the
+atom orthogonality graph (Bron & Kerbosch 1973; Tomita, Tanaka &
+Takahashi 2006), and M splits s when M & ~(mask(s) | mask(s')) is 0.
+
+``mutually_compatible`` decides condition I by that test alone.
+``is_compatible_subset`` names a witness: the first Boolean set of a
+depth-first search that grows the closure of the members by one
+generator at a time in index order.  A candidate that no block splits
+is not expanded, as no superset of it is Boolean.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 
 import numpy as np
 
-from .core import FiniteLogic, derived, is_powerset, join_table
+from .core import (FiniteLogic, derived, is_powerset, join_table,
+                   orthogonality_masks)
 from .errors import SearchBudgetExceeded
 
 DEFAULT_NODE_BUDGET = 1_000_000
@@ -27,6 +39,34 @@ DEFAULT_NODE_BUDGET = 1_000_000
 class CompatibilityVerdict:
     compatible: bool
     witness: frozenset | None = None  # a Boolean subalgebra containing the members
+
+
+@derived
+def blocks(logic: FiniteLogic) -> tuple[int, ...]:
+    """The maximal orthogonal sets of atoms as masks over ``logic.atoms``,
+    in increasing order.  A stack entry is Bron-Kerbosch's (R, P, X), and
+    the pivot is the vertex of P | X with the most neighbours in P."""
+    adj = orthogonality_masks(logic).tolist()
+    out, stack = [], [(0, (1 << len(adj)) - 1, 0)]
+    while stack:
+        r, p, x = stack.pop()
+        if not p | x:
+            out.append(r)
+            continue
+        u = max(_bits(p | x), key=lambda v: (adj[v] & p).bit_count())
+        for v in _bits(p & ~adj[u]):
+            stack.append((r | 1 << v, p & adj[v], x & adj[v]))
+            p, x = p & ~(1 << v), x | 1 << v
+    return tuple(sorted(out))
+
+
+def _bits(mask: int) -> list[int]:
+    return [v for v in range(mask.bit_length()) if mask >> v & 1]
+
+
+def _unsplit(logic: FiniteLogic, s: int) -> int:
+    """Atoms below neither s nor s': the blocks that split s miss them."""
+    return ~(logic.atom_masks[s] | logic.atom_masks[logic.ortho[s]])
 
 
 def closure(logic: FiniteLogic, members) -> frozenset:
@@ -43,13 +83,9 @@ def closure(logic: FiniteLogic, members) -> frozenset:
 
 
 def is_boolean_subalgebra(logic: FiniteLogic, subset) -> bool:
-    """Is the closed subset a Boolean algebra under the induced order?
-
-    The subset is assumed closed under ' with 0 and 1 present.  Then
-    b v b' = 1 and b ^ b' = 0 inside it, so it is Boolean exactly when
-    it is the powerset of its atoms with ' as mask complement, which
-    ``core.is_powerset`` tests on the induced order and '.
-    """
+    """Is the subset, closed under ' with 0 and 1 present, a Boolean
+    algebra under the induced order?  Then b v b' = 1 and b ^ b' = 0
+    inside it, so ``core.is_powerset`` decides it."""
     elems = np.array(sorted(subset), dtype=np.intp)
     return is_powerset(logic.leq[np.ix_(elems, elems)],
                        np.searchsorted(elems, logic.ortho[elems]))
@@ -59,11 +95,9 @@ def is_compatible_subset(logic: FiniteLogic, members,
                          budget=DEFAULT_NODE_BUDGET) -> CompatibilityVerdict:
     """Search for a Boolean subalgebra of the logic containing the members.
 
-    Raises ``SearchBudgetExceeded`` when the backtracking examines more
-    candidate closed sets than the budget allows; that outcome means
-    "unknown", never "incompatible".  The search starts from the closure
-    of the members, so verdicts are stored by that closure: member sets
-    with the same closure share one entry.
+    Past the budget of candidate closed sets this raises
+    ``SearchBudgetExceeded``, which means "unknown", not "incompatible".
+    Verdicts are stored by the closure of the members, the search's root.
     """
     if logic.is_boolean:
         return CompatibilityVerdict(True, frozenset(range(logic.n)))
@@ -73,19 +107,18 @@ def is_compatible_subset(logic: FiniteLogic, members,
 @derived
 def _compatibility_search(logic: FiniteLogic, base: frozenset,
                           budget) -> CompatibilityVerdict:
-    seen = set()
-    nodes = 0
-    stack = [(base, 0)]
-    seen.add(base)
+    seen, stack, nodes = {base}, [(base, 0)], 0
     while stack:
         current, start = stack.pop()
         nodes += 1
         if nodes > budget:
             raise SearchBudgetExceeded(
-                f"compatibility search examined {nodes} candidate sets"
-            )
+                f"compatibility search examined {nodes} candidate sets")
         if is_boolean_subalgebra(logic, current):
             return CompatibilityVerdict(True, current)
+        unsplit = reduce(or_, (_unsplit(logic, s) for s in current))
+        if all(m & unsplit for m in blocks(logic)):
+            continue  # no block splits it, so no superset is Boolean
         # grow by one generator; descending push keeps index-order DFS
         for x in range(logic.n - 1, start - 1, -1):
             if x in current:
@@ -97,54 +130,20 @@ def _compatibility_search(logic: FiniteLogic, base: frozenset,
     return CompatibilityVerdict(False, None)
 
 
-def _compatible_subsets(logic: FiniteLogic, members, budget):
-    """All compatible subsets of the member set, found monotonically:
-    supersets of an incompatible set are pruned."""
-    members = sorted(members)
-    out = []
-    nodes = 0
-
-    def grow(current, start):
-        nonlocal nodes
-        nodes += 1
-        if nodes > budget:
-            raise SearchBudgetExceeded(
-                f"compatible-subset enumeration examined {nodes} sets"
-            )
-        out.append(frozenset(current))
-        for i in range(start, len(members)):
-            candidate = current | {members[i]}
-            if is_compatible_subset(logic, candidate, budget).compatible:
-                grow(candidate, i + 1)
-
-    grow(frozenset(), 0)
-    return out
-
-
-def _maximal_sets(sets):
-    out = []
-    for s in sets:
-        if not any(s < t for t in sets):
-            out.append(s)
-    return out
-
-
-def mutually_compatible(logic: FiniteLogic, s1, s2,
-                        budget=DEFAULT_NODE_BUDGET) -> bool:
-    """Must every union of compatible subsets of s1 and s2 be compatible?
-
-    If s1 | s2 is compatible as a whole, monotonicity settles every
-    sub-union at once; otherwise the compatible subsets of both sides
-    are enumerated and only the maximal ones need their unions checked.
-    """
-    s1, s2 = frozenset(s1), frozenset(s2)
-    union = is_compatible_subset(logic, s1 | s2, budget)
-    if union.compatible:
+def mutually_compatible(logic: FiniteLogic, s1, s2) -> bool:
+    """Is every union of a compatible subset of s1 and one of s2 compatible?
+    The compatible subsets of a side lie in what one block splits there,
+    so for each pair of blocks, what the first splits of s1 and the
+    second of s2 must together be split by some block."""
+    if logic.is_boolean:
         return True
-    max1 = _maximal_sets(_compatible_subsets(logic, s1, budget))
-    max2 = _maximal_sets(_compatible_subsets(logic, s2, budget))
-    for a in max1:
-        for b in max2:
-            if not is_compatible_subset(logic, a | b, budget).compatible:
-                return False
-    return True
+    s1, s2 = set(s1), set(s2)
+    members = sorted(s1 | s2)
+    unsplit = [_unsplit(logic, s) for s in members]
+    split = {sum(1 << i for i, u in enumerate(unsplit) if not m & u)
+             for m in blocks(logic)}
+    side1 = sum(1 << i for i, s in enumerate(members) if s in s1)
+    side2 = sum(1 << i for i, s in enumerate(members) if s in s2)
+    return all(any(not (a | b) & ~c for c in split)
+               for a in {m & side1 for m in split}
+               for b in {m & side2 for m in split})

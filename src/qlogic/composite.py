@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .builders import boolean_algebra
-from .compat import mutually_compatible, DEFAULT_NODE_BUDGET
+from .compat import mutually_compatible
 from .core import FiniteLogic, derived, list_of, meets, validate_logic
 from .errors import (
     InternalInvariantError,
@@ -123,12 +123,10 @@ class AtomMeetsReport:
 
 
 @derived
-def check_condition_I(comp: CompositeLogic,
-                      budget=DEFAULT_NODE_BUDGET) -> CompatImagesReport:
+def check_condition_I(comp: CompositeLogic) -> CompatImagesReport:
     """Are the two embedded copies compatible with each other?"""
     return CompatImagesReport(holds=mutually_compatible(
-        comp.ambient, set(comp.pi1.map), set(comp.pi2.map), budget
-    ))
+        comp.ambient, comp.pi1.map, comp.pi2.map))
 
 
 @derived

@@ -14,7 +14,8 @@ and the compatibility closure all read that one table.
 ``is_powerset`` is the one Boolean test, of a logic
 (``FiniteLogic.is_boolean``) and of the compatibility search's closed
 subsets: the order must be the inclusion of atom masks, packed by
-``bitmasks``, and ' their complement.
+``bitmasks``, and ' their complement.  ``orthogonality_masks`` packs
+the atom orthogonality graph that automorphisms and compatibility read.
 """
 
 from __future__ import annotations
@@ -501,6 +502,13 @@ def join_table(logic: FiniteLogic) -> JoinTable:
     join.setflags(write=False)
     meet.setflags(write=False)
     return JoinTable(join, meet)
+
+
+def orthogonality_masks(logic: FiniteLogic) -> np.ndarray:
+    """Bit j of entry i is set when atoms i and j are orthogonal, that is,
+    when atom i lies below the complement of atom j."""
+    atoms = list(logic.atoms)
+    return bitmasks(logic.leq[np.ix_(atoms, logic.ortho[atoms])])
 
 
 def _check_axioms_cde(logic: FiniteLogic) -> None:

@@ -27,7 +27,7 @@ from itertools import islice, permutations, repeat
 
 import numpy as np
 
-from .core import FiniteLogic, bitmasks, derived
+from .core import FiniteLogic, derived, orthogonality_masks
 from .errors import (
     InternalInvariantError,
     LemmaViolated,
@@ -276,7 +276,7 @@ def _atom_perm_blocks(logic: FiniteLogic, budget, rows):
             raise _budget_exceeded(budget, "candidates")
         return
     k = len(logic.atoms)
-    omask = _orthogonality_masks(logic)
+    omask = orthogonality_masks(logic)
     dtype = omask.dtype
     earlier = [np.array([j for j in range(d) if omask[d] >> j & 1],
                         dtype=np.intp) for d in range(k)]
@@ -313,13 +313,6 @@ def _atom_perm_blocks(logic: FiniteLogic, budget, rows):
         stack.append((images, used[r] | bit[c], pre))
     if pruned or sum(seen) > budget:
         raise _budget_exceeded(budget, "nodes")
-
-
-def _orthogonality_masks(logic: FiniteLogic) -> np.ndarray:
-    """Bit j of entry i is set when atoms i and j are orthogonal, that is,
-    when atom i lies below the complement of atom j."""
-    atoms = list(logic.atoms)
-    return bitmasks(logic.leq[np.ix_(atoms, logic.ortho[atoms])])
 
 
 def _first_automorphism_with(logic: FiniteLogic, forced: dict, budget):

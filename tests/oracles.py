@@ -8,7 +8,12 @@ from itertools import permutations
 import numpy as np
 
 from qlogic.cloning import CertificatePair
-from qlogic.compat import is_compatible_subset
+from qlogic.compat import (
+    CompatibilityVerdict,
+    closure,
+    is_boolean_subalgebra,
+    is_compatible_subset,
+)
 from qlogic.core import _bool_matmul
 from qlogic.composite import check_lemma3
 from qlogic.errors import (
@@ -591,6 +596,73 @@ def definition_on_atomic_states(problem, T) -> bool:
         if dual_state(comp.pi2, pulled) != want:
             return False
     return True
+
+
+def compatibility_search_unpruned(logic, members, budget=10 ** 6):
+    """The index-order depth-first search of closed sets from the closure
+    of the members, expanding every candidate that is not Boolean: the
+    reference for ``compat.is_compatible_subset``, whose search skips the
+    candidates that no maximal orthogonal atom set splits."""
+    if logic.is_boolean:
+        return CompatibilityVerdict(True, frozenset(range(logic.n)))
+    base = closure(logic, members)
+    seen, stack, nodes = {base}, [(base, 0)], 0
+    while stack:
+        current, start = stack.pop()
+        nodes += 1
+        if nodes > budget:
+            raise SearchBudgetExceeded(
+                f"compatibility search examined {nodes} candidate sets")
+        if is_boolean_subalgebra(logic, current):
+            return CompatibilityVerdict(True, current)
+        for x in range(logic.n - 1, start - 1, -1):
+            if x in current:
+                continue
+            child = closure(logic, current | {x})
+            if child not in seen:
+                seen.add(child)
+                stack.append((child, x + 1))
+    return CompatibilityVerdict(False, None)
+
+
+def mutually_compatible_by_subsets(logic, s1, s2, budget=10 ** 6):
+    """Condition I by enumeration: every compatible subset of each side,
+    grown only from compatible ones, and the unions of the maximal ones,
+    each decided by the unpruned search: the reference for
+    ``compat.mutually_compatible``."""
+    def compatible(members):
+        return compatibility_search_unpruned(logic, members,
+                                             budget).compatible
+
+    def maximal_compatible_subsets(members):
+        members = sorted(members)
+        found = []
+
+        def grow(current, start):
+            found.append(current)
+            for i in range(start, len(members)):
+                if compatible(current | {members[i]}):
+                    grow(current | {members[i]}, i + 1)
+
+        grow(frozenset(), 0)
+        return [a for a in found if not any(a < b for b in found)]
+
+    return all(compatible(a | b)
+               for a in maximal_compatible_subsets(s1)
+               for b in maximal_compatible_subsets(s2))
+
+
+def maximal_orthogonal_atom_sets(logic):
+    """Every maximal set of pairwise orthogonal atoms, as a mask over
+    ``logic.atoms``, in increasing order, found by testing every subset
+    of the atoms: the reference for ``compat.blocks``."""
+    k = len(logic.atoms)
+    orth = [[logic.orthogonal(a, b) for b in logic.atoms] for a in logic.atoms]
+    cliques = [m for m in range(1 << k)
+               if all(orth[i][j] for i in range(k) for j in range(i)
+                      if m >> i & 1 and m >> j & 1)]
+    return tuple(m for m in cliques
+                 if not any(c != m and c & m == m for c in cliques))
 
 
 def boolean_meet(logic, subalgebra, e, f):

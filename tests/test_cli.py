@@ -17,8 +17,8 @@ from qlogic.states import State, atomic_state, parse_rational
 def fixture_files(tmp_path_factory):
     root = tmp_path_factory.mktemp("fixtures")
     paths = {}
-    for name in ("boolean2", "boolean3", "MO2", "O6", "prod22", "stateless",
-                 "nonfaithful"):
+    for name in ("boolean2", "boolean3", "MO2", "MO3", "O6", "prod22",
+                 "prod33", "stateless", "nonfaithful"):
         path = root / f"{name}.json"
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(load_fixture(name).data, fh, indent=2)
@@ -257,6 +257,39 @@ def test_clone_search_budget_below_scanned_is_exit_3(fixture_files, capsys):
         assert json.loads(out)["error"] == "budget_exceeded"
 
 
+_PROD33_CLONE = ["clone-search", "{prod33}", "--C", "x,y,z", "--f", "z"]
+
+
+@pytest.mark.parametrize("argv, code, field, want", [
+    # preorder nodes of the atom search on MO3
+    (["autos", "{MO3}", "--budget", "155"], 3, "detail",
+     "automorphism search visited 156 nodes"),
+    (["autos", "{MO3}", "--budget", "156"], 0, "count", 48),
+    # complete permutations, "candidates", on a powerset
+    (["autos", "{boolean3}", "--budget", "5"], 3, "detail",
+     "automorphism search visited 6 candidates"),
+    (["autos", "{boolean3}", "--budget", "6"], 0, "count", 6),
+    # the k point masses count as k candidate bases
+    (["states", "{boolean3}", "--budget", "2"], 3, "detail",
+     "3 candidate bases exceed the budget 2"),
+    (["states", "{boolean3}", "--budget", "3"], 0, "vertex_count", 3),
+    # the first cloner's Lehmer rank + 1 is 80,665
+    (_PROD33_CLONE + ["--budget", "80664"], 3, "detail",
+     "automorphism search visited 80665 candidates"),
+    (_PROD33_CLONE + ["--budget", "80665"], 0, "candidates_scanned", 80665),
+], ids=["autos-MO3-155", "autos-MO3-156", "autos-boolean3-5",
+        "autos-boolean3-6", "states-boolean3-2", "states-boolean3-3",
+        "clone-search-prod33-80664", "clone-search-prod33-80665"])
+def test_budget_boundaries(fixture_files, capsys, argv, code, field, want):
+    argv = [a.format(**fixture_files) for a in argv]
+    got, out = run(capsys, *argv, "--format", "json")
+    payload = json.loads(out)
+    assert got == code
+    assert payload[field] == want
+    if code == 3:
+        assert payload["error"] == "budget_exceeded"
+
+
 def test_certify_theorem1(fixture_files, capsys):
     code, out = run(capsys, "certify-theorem1",
                     "--composite", fixture_files["prod22"],
@@ -475,7 +508,7 @@ MALFORMED = {
     "transprob": [["{MO2}", "a", "nope"], ["{MO2}", "a"]],
     "autos": [["{MO2}", "--budget", "-1"], ["{no_labels}"]],
     "product": [["{MO2}"], ["{boolean2}", "--out", "{tmp}/no/dir.json"]],
-    "check-I": [["{array}"], ["{prod22}", "--budget", "-1"]],
+    "check-I": [["{array}"], ["{not_json}"]],
     "check-J": [["{no_pi2}"], ["{not_json}"], ["{string_pi1}"]],
     "lemma1": [["{string_map}"], ["{float_map}"], ["{short_map}"],
                ["{identity_map}", "--e1", "nope", "--e2", "x"]],

@@ -3,11 +3,20 @@
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import boolean_meet
-from qlogic.builders import mo_logic
+from oracles import (
+    boolean_meet,
+    compatibility_search_unpruned,
+    maximal_orthogonal_atom_sets,
+    mutually_compatible_by_subsets,
+)
+from qlogic.builders import greechie, mo_logic
 from qlogic.compat import (
+    CompatibilityVerdict,
     _compatibility_search,
+    blocks,
     closure,
     is_boolean_subalgebra,
     is_compatible_subset,
@@ -15,6 +24,8 @@ from qlogic.compat import (
 )
 from qlogic.core import validate_logic
 from qlogic.errors import SearchBudgetExceeded
+from qlogic.fixtures import load_fixture
+from strategies import loose_pastings, pastings
 
 
 # ---------------------------------------------------------------------------
@@ -108,23 +119,43 @@ def test_boolean_meet_in_witness(b3):
     assert boolean_meet(b3, verdict.witness, xy_join, x) == x
 
 
-def test_mutual_compatibility_examples(b3, mo2):
-    # one Boolean subalgebra with itself
-    sub = closure(b3, {b3.index("x")})
-    assert mutually_compatible(b3, sub, sub)
-    # MO2 singletons from different blocks: each compatible, union is not
-    assert not mutually_compatible(mo2, {mo2.index("a")}, {mo2.index("b")})
+_MO3 = validate_logic(mo_logic(3))
 
 
-def test_mutual_compatibility_symmetric(mo2, b3):
-    cases = [
-        (mo2, {mo2.index("a")}, {mo2.index("b")}),
-        (mo2, {mo2.index("a"), mo2.index("a'")}, {mo2.index("b")}),
-        (b3, {b3.index("x")}, {b3.index("y")}),
-    ]
-    for logic, s1, s2 in cases:
-        assert (mutually_compatible(logic, s1, s2)
-                == mutually_compatible(logic, s2, s1))
+def _labelled(logic, labels):
+    return {logic.index(lbl) for lbl in labels.split()}
+
+
+# (logic, s1, s2, condition I holds); the first two MO3 cases are the
+# images of make_composite(MO3, MO3, identity, identity) and of two
+# different embeddings of MO2 into MO3
+_MUTUAL_CASES = [
+    ("b3", "0 x x' 1", "0 x x' 1", True),
+    ("b3", "x", "y", True),
+    ("mo2", "a", "b", False),
+    ("mo2", "a a'", "b", False),
+    ("mo3", " ".join(_MO3.labels), " ".join(_MO3.labels), False),
+    ("mo3", "0 a a' b b' 1", "0 b b' c c' 1", False),
+    ("mo3", "0 a a' 1", "a'", True),
+]
+
+
+@pytest.mark.parametrize("case", _MUTUAL_CASES)
+def test_mutual_compatibility_examples(b3, mo2, case):
+    name, s1, s2, holds = case
+    logic = {"b3": b3, "mo2": mo2, "mo3": _MO3}[name]
+    s1, s2 = _labelled(logic, s1), _labelled(logic, s2)
+    assert mutually_compatible(logic, s1, s2) is holds
+    assert mutually_compatible_by_subsets(logic, s1, s2) is holds
+
+
+@pytest.mark.parametrize("case", _MUTUAL_CASES)
+def test_mutual_compatibility_symmetric(b3, mo2, case):
+    name, s1, s2, _ = case
+    logic = {"b3": b3, "mo2": mo2, "mo3": _MO3}[name]
+    s1, s2 = _labelled(logic, s1), _labelled(logic, s2)
+    assert (mutually_compatible(logic, s1, s2)
+            == mutually_compatible(logic, s2, s1))
 
 
 def test_mutual_compatibility_within_whole_mo2(mo2):
@@ -154,3 +185,72 @@ def test_member_sets_with_one_closure_share_one_verdict():
                if key[0] is _compatibility_search.__wrapped__]
     assert len(entries) == 1
     assert first.compatible and first.witness == second.witness
+
+
+def test_incompatible_pair_is_answered_within_one_candidate():
+    # no maximal orthogonal atom set splits both members, so the root is
+    # not expanded; the unpruned search examines over 2,000 sets here
+    logic = load_fixture("nonfaithful").logic()
+    members = {logic.index("x"), logic.index("yu1")}
+    verdict = is_compatible_subset(logic, members, budget=1)
+    assert verdict == CompatibilityVerdict(False, None)
+
+
+@pytest.mark.parametrize("name, count", [("nonfaithful", 40),
+                                         ("stateless", 53)])
+def test_blocks_are_maximal_orthogonal_atom_sets(name, count):
+    # too many atoms for the subset oracle: each block is orthogonal and
+    # no atom outside it is orthogonal to all of it
+    logic = load_fixture(name).logic()
+    atoms = logic.atoms
+    found = blocks(logic)
+    assert len(found) == len(set(found)) == count
+    for m in found:
+        inside = [a for i, a in enumerate(atoms) if m >> i & 1]
+        assert all(logic.orthogonal(a, b) for a, b in combinations(inside, 2))
+        assert not any(all(logic.orthogonal(c, a) for a in inside)
+                       for i, c in enumerate(atoms) if not m >> i & 1)
+
+
+def test_search_grows_past_a_closure_that_is_not_boolean():
+    # {a v b, b v c} lies in the block abcd, yet its closure, 0, 1, a v b,
+    # c v d, b v c and a v d, is not Boolean; the block def does not
+    # split it, so only a search that keeps it finds the witness
+    logic = validate_logic(greechie([("a", "b", "c", "d"), ("d", "e", "f")]))
+    a, b, c, d = (logic.index(x) for x in "abcd")
+    members = {logic.sup(a, b), logic.sup(b, c)}
+    assert not is_boolean_subalgebra(logic, closure(logic, members))
+    verdict = is_compatible_subset(logic, members)
+    assert verdict == compatibility_search_unpruned(logic, members)
+    assert verdict.witness == closure(logic, {a, b, c, d})
+
+
+_FIXTURES = {name: load_fixture(name).logic()
+             for name in ("MO1", "MO2", "MO3", "boolean3")}
+
+
+# pastings() also draws blocks of four atoms, where a compatible closure
+# need not be Boolean
+@given(st.one_of(loose_pastings(),
+                 pastings().filter(lambda logic: logic is not None),
+                 st.sampled_from(sorted(_FIXTURES)).map(_FIXTURES.get)),
+       st.data())
+@settings(max_examples=60, deadline=None)
+def test_search_and_condition_I_match_the_oracles(logic, data):
+    assert blocks(logic) == maximal_orthogonal_atom_sets(logic)
+    elements = st.sets(st.integers(0, logic.n - 1), max_size=4)
+    # members that one block splits are compatible
+    block = data.draw(st.sampled_from(blocks(logic)), label="block")
+    masks = logic.atom_masks
+    inside = [e for e in range(logic.n)
+              if not block & ~(masks[e] | masks[logic.ortho[e]])]
+    for members in (data.draw(elements, label="members"),
+                    data.draw(st.sets(st.sampled_from(inside), max_size=3),
+                              label="members split by the block")):
+        # the verdict and the first witness of the unpruned search
+        assert (is_compatible_subset(logic, members)
+                == compatibility_search_unpruned(logic, members))
+    s1 = data.draw(elements, label="s1")
+    s2 = data.draw(elements, label="s2")
+    assert (mutually_compatible(logic, s1, s2)
+            == mutually_compatible_by_subsets(logic, s1, s2))

@@ -99,11 +99,21 @@ def test_product_rejects_oversized_factor():
         boolean_product(b4)
 
 
-def test_identity_embeddings_of_mo2_fail_compatibility():
-    mo2 = validate_logic(mo_logic(2))
-    comp = make_composite(mo2, mo2, range(mo2.n), range(mo2.n))
+@pytest.mark.parametrize("factor, ambient, map1, map2", [
+    (2, 2, range(6), range(6)),
+    (3, 3, range(8), range(8)),
+    # MO2's blocks onto MO3's blocks a, b and onto b, c
+    (2, 3, [0, 1, 2, 3, 4, 7], [0, 3, 4, 5, 6, 7]),
+], ids=["MO2-identity", "MO3-identity", "MO2-into-MO3"])
+def test_embeddings_across_blocks_fail_compatibility(factor, ambient,
+                                                     map1, map2):
+    factor = validate_logic(mo_logic(factor))
+    ambient = validate_logic(mo_logic(ambient))
+    comp = make_composite(factor, ambient, map1, map2)
     rep = check_condition_I(comp)
     assert not rep.holds
+    assert oracles.mutually_compatible_by_subsets(
+        ambient, comp.pi1.map, comp.pi2.map) is False
     assert check_condition_I(comp) is rep  # stored on the composite
 
 

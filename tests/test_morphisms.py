@@ -19,14 +19,13 @@ from oracles import (
     order_is_mask_inclusion,
 )
 from qlogic import morphisms
-from qlogic.builders import boolean_algebra, greechie, mo_logic
-from qlogic.core import LogicDescription, validate_logic
+from qlogic.builders import boolean_algebra, mo_logic
+from qlogic.core import LogicDescription, orthogonality_masks, validate_logic
 from qlogic.errors import (
     NotInjective,
     NotOrderPreserving,
     OrthoNotPreserved,
     PreconditionFailed,
-    QLogicError,
     SearchBudgetExceeded,
     UnitNotPreserved,
 )
@@ -50,6 +49,7 @@ from qlogic.states import (
     state_polytope,
     transition_probability,
 )
+from strategies import loose_pastings, pastings
 
 
 def embedding_2_into_3(b2, b3):
@@ -198,7 +198,7 @@ def test_masks_match_their_definitions():
             sum(1 << i for i, a in enumerate(atoms) if leq[a, e])
             for e in range(logic.n)), name
         assert all(type(m) is int for m in logic.atom_masks), name
-        omask = morphisms._orthogonality_masks(logic)
+        omask = orthogonality_masks(logic)
         assert omask.dtype == (np.int64 if len(atoms) < 63 else object), name
         assert omask.tolist() == [
             sum(1 << j for j, b in enumerate(atoms) if logic.orthogonal(a, b))
@@ -207,21 +207,7 @@ def test_masks_match_their_definitions():
     assert max(ks) >= 63 > min(ks)
 
 
-@st.composite
-def _pastings(draw):
-    """Up to three blocks of 2-4 atoms over a pool of seven; the pastings
-    that builders.greechie and validation accept are kept."""
-    blocks = draw(st.lists(
-        st.lists(st.sampled_from("abcdefg"), min_size=2, max_size=4,
-                 unique=True).map(tuple),
-        min_size=1, max_size=3))
-    try:
-        return validate_logic(greechie(blocks))
-    except QLogicError:
-        return None
-
-
-@given(_pastings())
+@given(pastings())
 @settings(max_examples=40, deadline=None)
 def test_mask_route_matches_generic_backtracking_on_pastings(logic):
     assume(logic is not None)
@@ -293,7 +279,7 @@ def test_atom_search_and_block_extension_match_oracles(name, data):
         validate_logic(_NAMED_LOGICS[name]), data)
 
 
-@given(_pastings(), st.data())
+@given(pastings(), st.data())
 @settings(max_examples=40, deadline=None)
 def test_atom_search_and_block_extension_match_oracles_on_pastings(logic,
                                                                    data):
@@ -392,26 +378,7 @@ def test_first_automorphism_with_matches_the_oracle_scan(n, data):
     _check_first_automorphism(validate_logic(mo_logic(n)), data)
 
 
-@st.composite
-def _loose_pastings(draw):
-    """Two or three blocks over a pool of seven atoms, each block sharing
-    at most one atom with the blocks before it, and none with a block of
-    two: no loops, so the pasting is a logic, and not a Boolean one."""
-    fresh = iter("abcdefg")
-    blocks = []
-    for _ in range(draw(st.integers(2, 3))):
-        used = sorted({a for block in blocks if len(block) > 2
-                       for a in block})
-        shared = draw(st.sampled_from([None] + used)) if used else None
-        size = draw(st.integers(3 if shared else 2, 3))
-        block = [shared] if shared else []
-        block += islice(fresh, size - len(block))
-        if len(block) == size:
-            blocks.append(tuple(block))
-    return validate_logic(greechie(blocks))
-
-
-@given(_loose_pastings(), st.data())
+@given(loose_pastings(), st.data())
 @settings(max_examples=30, deadline=None)
 def test_first_automorphism_with_matches_the_oracle_scan_on_pastings(logic,
                                                                     data):
@@ -562,7 +529,7 @@ def test_inverse_read_off_the_map(name):
     _assert_inverse_laws(logic, autos)
 
 
-@given(_pastings())
+@given(pastings())
 @settings(max_examples=40, deadline=None)
 def test_inverse_read_off_the_map_on_pastings(logic):
     assume(logic is not None)
