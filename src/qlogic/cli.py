@@ -19,7 +19,7 @@ import numpy as np
 
 from . import hilbert as hb
 from .cloning import CloneProblem, clone_search, theorem1_certificate
-from .compat import DEFAULT_NODE_BUDGET, is_compatible_subset
+from .compat import is_compatible_subset
 from .composite import (
     boolean_product,
     check_condition_I,
@@ -204,7 +204,7 @@ def _cmd_atoms(args):
 def _cmd_compat(args):
     logic = _logic(args.logic)
     members = [logic.index(lbl) for lbl in args.members.split(",") if lbl]
-    verdict = is_compatible_subset(logic, members, budget=args.budget)
+    verdict = is_compatible_subset(logic, members)
     payload = {
         "command": "compat",
         "members": _labels(logic, members),
@@ -230,8 +230,7 @@ def _cmd_states(args):
 
 def _cmd_check(args):
     logic = _logic(args.logic)
-    cond = args.condition.upper()
-    if cond == "F":
+    if args.condition == "F":
         rep = check_condition_F(logic)
         payload = {"command": "check", "condition": "F", "holds": rep.holds}
         if rep.holds:
@@ -239,7 +238,7 @@ def _cmd_check(args):
         else:
             payload["failing_element"] = logic.labels[rep.failing_element]
         return (0 if rep.holds else 1), payload
-    if cond == "G":
+    if args.condition == "G":
         rep = check_condition_G(logic, budget=args.budget)
         payload = {"command": "check", "condition": "G", "holds": rep.holds}
         if not rep.holds:
@@ -250,16 +249,14 @@ def _cmd_check(args):
             if rep.vertex is not None:
                 payload["vertex"] = _state_payload(rep.vertex)
         return (0 if rep.holds else 1), payload
-    if cond == "H":
-        rep = check_condition_H(logic, budget=args.budget)
-        payload = {"command": "check", "condition": "H", "holds": rep.holds}
-        payload["vacuous_premises"] = _labels(logic, rep.vacuous_premises)
-        if not rep.holds:
-            e, f = rep.violating_pair
-            payload["violating_pair"] = [logic.labels[e], logic.labels[f]]
-            payload["evidence_state"] = _state_payload(rep.evidence)
-        return (0 if rep.holds else 1), payload
-    raise LogicInputError(f"unknown condition {args.condition!r}")
+    rep = check_condition_H(logic, budget=args.budget)
+    payload = {"command": "check", "condition": "H", "holds": rep.holds}
+    payload["vacuous_premises"] = _labels(logic, rep.vacuous_premises)
+    if not rep.holds:
+        e, f = rep.violating_pair
+        payload["violating_pair"] = [logic.labels[e], logic.labels[f]]
+        payload["evidence_state"] = _state_payload(rep.evidence)
+    return (0 if rep.holds else 1), payload
 
 
 def _cmd_condprob(args):
@@ -498,6 +495,15 @@ def _cmd_certify(args):
 # hilbert subcommands
 # ---------------------------------------------------------------------------
 
+MAX_HILBERT_DIM = 1024  # a dense complex matrix of this side takes 16 MiB
+
+
+def _check_built_dim(option, value, dim):
+    if dim > MAX_HILBERT_DIM:
+        raise LogicInputError(f"{option} {value} builds a {dim}-dimensional "
+                              f"space, beyond the limit {MAX_HILBERT_DIM}")
+
+
 def _cmd_hilbert(args):
     tol = args.tolerance
     if not tol > 0:  # a NaN or negative tolerance fails every check
@@ -528,6 +534,7 @@ def _cmd_hilbert(args):
             raise LogicInputError(
                 f"--other-dim must be positive, got {args.other_dim}")
         e = hb.ProjectionOperator(_load_matrix(args.e), tol)
+        _check_built_dim("--other-dim", args.other_dim, e.dim * args.other_dim)
         emb = hb.tensor_embed(e, args.side, args.other_dim)
         return 0, {"command": "hilbert embed",
                    "dim": emb.dim, "rank": emb.rank(),
@@ -537,6 +544,7 @@ def _cmd_hilbert(args):
         if args.dim < 1 or args.trials < 1 or args.seed < 0:
             raise LogicInputError("--dim and --trials must be positive "
                                   "and --seed non-negative")
+        _check_built_dim("--dim", args.dim, args.dim * args.dim)
         rng = np.random.default_rng(args.seed)
         worst = 0.0
         for _ in range(args.trials):
@@ -552,15 +560,13 @@ def _cmd_hilbert(args):
         f = hb.PureVector(_parse_vector(args.f), tol)
         ok = hb.test_unitary_cloner(U, C, f, tol)
         return (0 if ok else 1), {"command": "hilbert clone-test", "clones": ok}
-    if sub == "no-cloning":
-        xi1 = hb.PureVector(_parse_vector(args.xi1), tol)
-        xi2 = hb.PureVector(_parse_vector(args.xi2), tol)
-        rep = hb.no_cloning_witness(xi1, xi2, tol)
-        return 0, {"command": "hilbert no-cloning",
-                   "overlap": rep.overlap, "squared": rep.squared,
-                   "cloneable": rep.cloneable,
-                   "notes": list(rep.notes)}
-    raise LogicInputError(f"unknown hilbert subcommand {sub!r}")
+    xi1 = hb.PureVector(_parse_vector(args.xi1), tol)  # no-cloning
+    xi2 = hb.PureVector(_parse_vector(args.xi2), tol)
+    rep = hb.no_cloning_witness(xi1, xi2, tol)
+    return 0, {"command": "hilbert no-cloning",
+               "overlap": rep.overlap, "squared": rep.squared,
+               "cloneable": rep.cloneable,
+               "notes": list(rep.notes)}
 
 
 def _cmd_fixture(args):
@@ -570,11 +576,9 @@ def _cmd_fixture(args):
     if args.fixture_command == "info":
         return 0, {"command": "fixture info", "name": fx.name,
                    "kind": fx.kind, "annotations": fx.annotations}
-    if args.fixture_command == "export":
-        _write_json(args.path, fx.data)
-        return 0, {"command": "fixture export", "name": fx.name,
-                   "written": args.path}
-    raise LogicInputError(f"unknown fixture subcommand {args.fixture_command!r}")
+    _write_json(args.path, fx.data)  # export
+    return 0, {"command": "fixture export", "name": fx.name,
+               "written": args.path}
 
 
 # ---------------------------------------------------------------------------
@@ -618,7 +622,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("logic")
     p.add_argument("--members", required=True,
                    help="comma-separated element labels")
-    add_budget(p, DEFAULT_NODE_BUDGET)
 
     p = add("states", _cmd_states, help="enumerate the state polytope")
     p.add_argument("logic")

@@ -4,20 +4,23 @@ A subset is compatible when some subset between it and the whole logic
 is closed under ' and suprema of orthogonal pairs, holds 0 and 1, and is
 a Boolean algebra in the induced order.  Say a maximal orthogonal set M
 of atoms splits s when each atom of M lies below s or below s'.  A set
-is compatible exactly when some M splits each of its members.  (<=) The joins of subsets of M are closed
-under ' and orthogonal joins and form a Boolean algebra, and a split s
-is the join of the atoms of M below it.  (=>) Split each atom of an
-enclosing Boolean subalgebra into a maximal orthogonal set of atoms
-below it; by orthomodularity, e = j v (e ^ j'), so these sets join back
-to each atom.  The sets M, ``blocks``, are the maximal cliques of the
-atom orthogonality graph (Bron & Kerbosch 1973; Tomita, Tanaka &
-Takahashi 2006), and M splits s when M & ~(mask(s) | mask(s')) is 0.
+is compatible exactly when some M splits each of its members.  (<=)
+The joins of subsets of M are closed under ' and orthogonal joins and
+form a Boolean algebra, and a split s is the join of the atoms of M
+below it.  (=>) Split each atom of an enclosing Boolean subalgebra into
+a maximal orthogonal set of atoms below it; by orthomodularity,
+e = j v (e ^ j'), so these sets join back to each atom.  The sets M,
+``blocks``, are the maximal cliques of the atom orthogonality graph
+(Bron & Kerbosch 1973; Tomita, Tanaka & Takahashi 2006), and M splits s
+when M & ~(mask(s) | mask(s')) is 0.
 
 ``mutually_compatible`` decides condition I by that test alone.
-``is_compatible_subset`` names a witness: the first Boolean set of a
-depth-first search that grows the closure of the members by one
-generator at a time in index order.  A candidate that no block splits
-is not expanded, as no superset of it is Boolean.
+``is_compatible_subset`` names a witness: the whole logic if it is
+Boolean, else the closure of the members if that is Boolean, else the
+elements that the first block splitting every member splits, which by
+(<=) are the joins of subsets of that block.  Where that block has five
+or more atoms, an index-order search of closures can meet a smaller
+Boolean set first; the verdict is the same.
 """
 
 from __future__ import annotations
@@ -30,9 +33,6 @@ import numpy as np
 
 from .core import (FiniteLogic, derived, is_powerset, join_table,
                    orthogonality_masks)
-from .errors import SearchBudgetExceeded
-
-DEFAULT_NODE_BUDGET = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -91,42 +91,19 @@ def is_boolean_subalgebra(logic: FiniteLogic, subset) -> bool:
                        np.searchsorted(elems, logic.ortho[elems]))
 
 
-def is_compatible_subset(logic: FiniteLogic, members,
-                         budget=DEFAULT_NODE_BUDGET) -> CompatibilityVerdict:
-    """Search for a Boolean subalgebra of the logic containing the members.
-
-    Past the budget of candidate closed sets this raises
-    ``SearchBudgetExceeded``, which means "unknown", not "incompatible".
-    Verdicts are stored by the closure of the members, the search's root.
-    """
+def is_compatible_subset(logic: FiniteLogic, members) -> CompatibilityVerdict:
+    """A Boolean subalgebra of the logic containing the members, if any.
+    A block splits the members exactly when it splits their closure."""
     if logic.is_boolean:
         return CompatibilityVerdict(True, frozenset(range(logic.n)))
-    return _compatibility_search(logic, closure(logic, members), budget)
-
-
-@derived
-def _compatibility_search(logic: FiniteLogic, base: frozenset,
-                          budget) -> CompatibilityVerdict:
-    seen, stack, nodes = {base}, [(base, 0)], 0
-    while stack:
-        current, start = stack.pop()
-        nodes += 1
-        if nodes > budget:
-            raise SearchBudgetExceeded(
-                f"compatibility search examined {nodes} candidate sets")
-        if is_boolean_subalgebra(logic, current):
-            return CompatibilityVerdict(True, current)
-        unsplit = reduce(or_, (_unsplit(logic, s) for s in current))
-        if all(m & unsplit for m in blocks(logic)):
-            continue  # no block splits it, so no superset is Boolean
-        # grow by one generator; descending push keeps index-order DFS
-        for x in range(logic.n - 1, start - 1, -1):
-            if x in current:
-                continue
-            child = closure(logic, current | {x})
-            if child not in seen:
-                seen.add(child)
-                stack.append((child, x + 1))
+    base = closure(logic, members)
+    if is_boolean_subalgebra(logic, base):
+        return CompatibilityVerdict(True, base)
+    unsplit = reduce(or_, (_unsplit(logic, s) for s in base))
+    for m in blocks(logic):
+        if not m & unsplit:
+            return CompatibilityVerdict(True, frozenset(
+                e for e in range(logic.n) if not m & _unsplit(logic, e)))
     return CompatibilityVerdict(False, None)
 
 

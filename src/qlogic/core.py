@@ -12,9 +12,9 @@ and the meets ``e ^ f'`` for ``f <= e`` that axiom (E) is about; axioms
 (C)-(E), the atom decompositions and additivity rows of the state space
 and the compatibility closure all read that one table.
 ``is_powerset`` is the one Boolean test, of a logic
-(``FiniteLogic.is_boolean``) and of the compatibility search's closed
-subsets: the order must be the inclusion of atom masks, packed by
-``bitmasks``, and ' their complement.  ``orthogonality_masks`` packs
+(``FiniteLogic.is_boolean``) and of the closed subsets that
+compatibility tests: the order must be the inclusion of atom masks,
+packed by ``bitmasks``, and ' their complement.  ``orthogonality_masks`` packs
 the atom orthogonality graph that automorphisms and compatibility read.
 """
 

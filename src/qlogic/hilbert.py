@@ -56,10 +56,6 @@ class ProjectionOperator:
         return cls(np.eye(dim))
 
     @classmethod
-    def zero(cls, dim):
-        return cls(np.zeros((dim, dim)))
-
-    @classmethod
     def onto(cls, vectors, tol=DEFAULT_TOL):
         """Orthogonal projection onto the span of the given vectors."""
         arr = np.atleast_2d(np.array(vectors, dtype=np.complex128))
@@ -92,11 +88,6 @@ class DensityOperator:
     def maximally_mixed(cls, dim):
         return cls(np.eye(dim) / dim)
 
-    @classmethod
-    def pure(cls, vector):
-        v = PureVector(vector)
-        return cls(np.outer(v.components, v.components.conj()))
-
 
 class PureVector:
     """Unit vector carrying an atomic (pure) state."""
@@ -108,11 +99,6 @@ class PureVector:
             raise OperatorInvariantError(f"vector norm is {norm!r}, not 1")
         self.dim = v.size
         self.components = v
-
-    @classmethod
-    def normalized(cls, components):
-        v = np.array(components, dtype=np.complex128).reshape(-1)
-        return cls(v / np.linalg.norm(v))
 
     def projector(self) -> ProjectionOperator:
         return ProjectionOperator(np.outer(self.components, self.components.conj()))

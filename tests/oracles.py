@@ -601,8 +601,9 @@ def definition_on_atomic_states(problem, T) -> bool:
 def compatibility_search_unpruned(logic, members, budget=10 ** 6):
     """The index-order depth-first search of closed sets from the closure
     of the members, expanding every candidate that is not Boolean: the
-    reference for ``compat.is_compatible_subset``, whose search skips the
-    candidates that no maximal orthogonal atom set splits."""
+    reference for ``compat.is_compatible_subset``, which reads its
+    witness off the blocks and agrees except where the splitting block
+    has five or more atoms."""
     if logic.is_boolean:
         return CompatibilityVerdict(True, frozenset(range(logic.n)))
     base = closure(logic, members)

@@ -154,10 +154,12 @@ def test_unknown_label_is_input_error(fixture_files, capsys):
 
 
 def test_budget_exceeded_is_exit_3(fixture_files, capsys):
-    code, out = run(capsys, "compat", fixture_files["MO2"],
-                    "--members", "a,b", "--budget", "0", "--format", "json")
+    code, out = run(capsys, "states", fixture_files["MO2"],
+                    "--budget", "0", "--format", "json")
     assert code == 3
-    assert json.loads(out)["error"] == "budget_exceeded"
+    payload = json.loads(out)
+    assert payload["error"] == "budget_exceeded"
+    assert payload["detail"] == "6 candidate bases exceed the budget 0"
 
 
 def _raise(exc):
@@ -186,6 +188,10 @@ def _raise(exc):
     (["hilbert", "embed", "--e", "{tmp}/nan_matrix.json", "--side", "first",
       "--other-dim", "0"], None, 2, "error", "input"),
     (["hilbert", "lemma2", "--dim", "-1"], None, 2, "error", "input"),
+    # refused before numpy allocates the product space
+    (["hilbert", "embed", "--e", "{tmp}/id2.json", "--side", "first",
+      "--other-dim", "100000000"], None, 2, "error", "input"),
+    (["hilbert", "lemma2", "--dim", "33"], None, 2, "error", "input"),
     (["hilbert", "lemma2", "--tolerance", "nan"], None, 2, "error", "input"),
     (["hilbert", "lemma2", "--trials", "0"], None, 2, "error", "input"),
     (["atoms", "{tmp}/infinite_index.json"], None, 2, "error", "input"),
@@ -195,7 +201,7 @@ def _raise(exc):
     (["validate", "{tmp}/deep.json"], None, 2, "error", "input"),
     (["condprob", "{tmp}/huge_exponent.json", "--given", "x"], None,
      2, "error", "input"),
-    (["compat", "{MO2}", "--members", "a,b", "--budget", "0"], None,
+    (["states", "{MO2}", "--budget", "0"], None,
      3, "error", "budget_exceeded"),
     (["autos", "{stateless}", "--budget", "10"], None,
      3, "error", "budget_exceeded"),
@@ -204,7 +210,8 @@ def _raise(exc):
      4, "error", "internal"),
 ], ids=["states-stateless", "check-F-stateless", "refuted", "missing-file",
         "not-json", "bad-vector", "unknown-label", "unwritable-output",
-        "nan-matrix", "bad-dimension", "bad-hilbert-dim", "nan-tolerance",
+        "nan-matrix", "bad-dimension", "bad-hilbert-dim", "huge-embed",
+        "huge-hilbert-dim", "nan-tolerance",
         "no-trials", "infinite-index", "non-string-value", "deep-json",
         "huge-exponent", "budget",
         "budget-beyond-62-atoms", "internal"])
@@ -216,6 +223,7 @@ def test_error_exit_codes(fixture_files, capsys, monkeypatch, tmp_path,
     (tmp_path / "not_json.json").write_text("{not json")
     (tmp_path / "nan_matrix.json").write_text(
         "[[[NaN, 0], [0, 0]], [[0, 0], [1, 0]]]")
+    (tmp_path / "id2.json").write_text("[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]")
     with open(fixture_files["boolean2"], encoding="utf-8") as fh:
         logic = json.load(fh)
     (tmp_path / "infinite_index.json").write_text(
@@ -497,8 +505,7 @@ MALFORMED = {
                  ["{boolean2}", "--format", "xml"]],
     "atoms": [["{array}"], ["{not_json}"]],
     "compat": [["{MO2}", "--members", "a,nope"],
-               ["{MO2}", "--members", "a,b", "--budget", "-1"],
-               ["{MO2}", "--members", "a,b", "--budget", "many"]],
+               ["{MO2}", "--members", "a,b", "--budget", "0"]],
     "states": [["{MO2}", "--budget", "-1"], ["{missing}"]],
     "check": [["X", "{MO2}"], ["G", "{MO2}", "--budget", "-1"],
               ["F", "{array}"]],

@@ -1,7 +1,8 @@
-"""Boolean-subalgebra search and mutual compatibility."""
+"""Boolean-subalgebra witnesses and mutual compatibility."""
 
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,21 +10,20 @@ from hypothesis import strategies as st
 from oracles import (
     boolean_meet,
     compatibility_search_unpruned,
+    is_boolean_lattice,
     maximal_orthogonal_atom_sets,
     mutually_compatible_by_subsets,
 )
-from qlogic.builders import greechie, mo_logic
+from qlogic.builders import boolean_algebra, greechie, mo_logic
 from qlogic.compat import (
     CompatibilityVerdict,
-    _compatibility_search,
     blocks,
     closure,
     is_boolean_subalgebra,
     is_compatible_subset,
     mutually_compatible,
 )
-from qlogic.core import validate_logic
-from qlogic.errors import SearchBudgetExceeded
+from qlogic.core import LogicDescription, validate_logic
 from qlogic.fixtures import load_fixture
 from strategies import loose_pastings, pastings
 
@@ -167,33 +167,93 @@ def test_mutual_compatibility_within_whole_mo2(mo2):
     assert mutually_compatible(mo2, block, block)
 
 
-def test_budget_exceeded_is_distinct_from_incompatible(mo2):
-    members = {mo2.index("a"), mo2.index("b")}
-    assert not is_compatible_subset(mo2, members).compatible
-    # the stored verdict does not answer a call with a smaller budget
-    with pytest.raises(SearchBudgetExceeded):
-        is_compatible_subset(mo2, members, budget=0)
-
-
 def test_member_sets_with_one_closure_share_one_verdict():
     logic = validate_logic(mo_logic(3))
     a, a_ = logic.index("a"), logic.index("a'")
     assert closure(logic, {a}) == closure(logic, {a_, logic.one})
     first = is_compatible_subset(logic, {a})
     second = is_compatible_subset(logic, {a_, logic.one})
-    entries = [key for key in logic._cache
-               if key[0] is _compatibility_search.__wrapped__]
-    assert len(entries) == 1
     assert first.compatible and first.witness == second.witness
 
 
-def test_incompatible_pair_is_answered_within_one_candidate():
-    # no maximal orthogonal atom set splits both members, so the root is
-    # not expanded; the unpruned search examines over 2,000 sets here
+def _count_boolean_tests(monkeypatch):
+    calls = []
+
+    def counted(logic, subset):
+        calls.append(subset)
+        return is_boolean_subalgebra(logic, subset)
+
+    monkeypatch.setattr("qlogic.compat.is_boolean_subalgebra", counted)
+    return calls
+
+
+def test_incompatible_pair_is_answered_within_one_candidate(monkeypatch):
+    # no maximal orthogonal atom set splits both members, so only their
+    # closure is tested; the unpruned search examines over 2,000 sets here
     logic = load_fixture("nonfaithful").logic()
     members = {logic.index("x"), logic.index("yu1")}
-    verdict = is_compatible_subset(logic, members, budget=1)
+    calls = _count_boolean_tests(monkeypatch)
+    verdict = is_compatible_subset(logic, members)
     assert verdict == CompatibilityVerdict(False, None)
+    assert len(calls) == 1
+
+
+def test_witness_is_read_off_the_first_splitting_block(monkeypatch):
+    # the closure of {x v y, y v p} is not Boolean; the block xypq splits
+    # both, and the index-order search examines 57 closed sets to reach
+    # the same 16-element algebra
+    logic = load_fixture("nonfaithful").logic()
+    members = {logic.index("x+y"), logic.index("y+p")}
+    calls = _count_boolean_tests(monkeypatch)
+    verdict = is_compatible_subset(logic, members)
+    assert len(calls) == 1
+    block = closure(logic, {logic.index(a) for a in "xypq"})
+    assert len(block) == 16
+    assert verdict == CompatibilityVerdict(True, block)
+
+
+def _horizontal_sum_b5_b2():
+    """B5 with atoms a-e and the pair u, u' pasted at 0 and 1."""
+    b5 = boolean_algebra(5, list("abcde"))
+    zero, one = b5.zero_index, b5.one_index
+    u, u_ = len(b5.labels), len(b5.labels) + 1
+    return validate_logic(LogicDescription(
+        b5.labels + ("u", "u'"),
+        b5.le_pairs + ((zero, u), (u, one), (zero, u_), (u_, one)),
+        b5.ortho + (u_, u), zero, one))
+
+
+_B5_B2 = _horizontal_sum_b5_b2()
+
+
+def test_five_atom_block_gives_its_whole_algebra():
+    # the one input with a block of five atoms, where the witness is the
+    # block's 32-element algebra although the index-order search stops
+    # at a 16-element one first; the verdicts agree
+    logic = _B5_B2
+    members = {logic.index(lbl) for lbl in ("{c,d}", "{c,e}", "{d,e}")}
+    assert not is_boolean_subalgebra(logic, closure(logic, members))
+    verdict = is_compatible_subset(logic, members)
+    b5 = frozenset(range(logic.n)) - {logic.index("u"), logic.index("u'")}
+    assert verdict == CompatibilityVerdict(True, b5)
+    elems = sorted(verdict.witness)
+    assert is_boolean_lattice(logic.leq[np.ix_(elems, elems)])
+    searched = compatibility_search_unpruned(logic, members)
+    assert searched.compatible and len(searched.witness) == 16
+
+
+def test_five_atom_block_verdicts_follow_the_pasting():
+    # a pair is compatible exactly when both lie in one summand
+    logic = _B5_B2
+    u_side = {logic.index("u"), logic.index("u'")}
+    b5_side = set(range(logic.n)) - u_side - {logic.zero, logic.one}
+    for e, f in combinations(range(logic.n), 2):
+        mixed = bool({e, f} & u_side and {e, f} & b5_side)
+        verdict = is_compatible_subset(logic, {e, f})
+        assert verdict.compatible is not mixed
+        if verdict.compatible:
+            assert {e, f} <= verdict.witness
+            assert is_boolean_subalgebra(logic, verdict.witness)
 
 
 @pytest.mark.parametrize("name, count", [("nonfaithful", 40),
@@ -215,7 +275,7 @@ def test_blocks_are_maximal_orthogonal_atom_sets(name, count):
 def test_search_grows_past_a_closure_that_is_not_boolean():
     # {a v b, b v c} lies in the block abcd, yet its closure, 0, 1, a v b,
     # c v d, b v c and a v d, is not Boolean; the block def does not
-    # split it, so only a search that keeps it finds the witness
+    # split it, so the witness is the algebra of abcd
     logic = validate_logic(greechie([("a", "b", "c", "d"), ("d", "e", "f")]))
     a, b, c, d = (logic.index(x) for x in "abcd")
     members = {logic.sup(a, b), logic.sup(b, c)}
