@@ -13,10 +13,15 @@ atom images depth first, a block of partial permutations per numpy
 pass: an image is admitted by one bitmask test of its orthogonal atoms
 against the images already used, for every row and candidate at once.
 Its budget counts nodes in preorder exactly as a one-node-at-a-time walk
-would.  Each block of complete atom bijections is extended through the
-atom masks in one numpy pass, and the element maps of the block become
-one tuple each, so enumeration costs roughly its output.  The first
-automorphism with some atom images forced, and its index, come from
+would.  Each block of complete atom bijections is extended in one numpy
+pass: atom i goes to atom sigma[i], a gather, and only the elements that
+are not atoms (2 of MO6's 14) go through the atom masks.  The block's
+element maps are read out as one flat list and cut into one tuple per
+map, and each tuple becomes one plain slotted ``Automorphism``, so
+enumeration costs roughly its output: one tuple and one small object
+per automorphism, whatever the block's shape.  ``automorphisms``
+extends its list a block at a time.  The first automorphism with some
+atom images forced, and its index, come from
 ``_first_automorphism_with``: computed on a powerset, walked otherwise.
 """
 
@@ -45,11 +50,35 @@ from .states import State, atomic_state, transition_probability
 DEFAULT_SEARCH_BUDGET = 2_000_000
 
 
-@dataclass(frozen=True, slots=True)
 class Morphism:
-    source: FiniteLogic
-    target: FiniteLogic
-    map: tuple
+    """A map of element indices from ``source`` to ``target``.
+
+    A plain slotted value, immutable by convention as ``FiniteLogic`` is:
+    equal when the class and the three fields are, hashed by the fields.
+    Listing an automorphism group builds one per automorphism, so its
+    ``__init__`` is three plain stores, with no ``object.__setattr__``
+    per field as a frozen dataclass has.
+    """
+
+    __slots__ = ("source", "target", "map")
+
+    def __init__(self, source: FiniteLogic, target: FiniteLogic, map: tuple):
+        self.source = source
+        self.target = target
+        self.map = map
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.source, self.target, self.map)
+                == (other.source, other.target, other.map))
+
+    def __hash__(self):
+        return hash((self.source, self.target, self.map))
+
+    def __repr__(self):
+        return (f"{type(self).__name__}(source={self.source!r}, "
+                f"target={self.target!r}, map={self.map!r})")
 
     def __call__(self, e: int) -> int:
         return self.map[e]
@@ -59,10 +88,11 @@ class Morphism:
         return len(set(self.map)) == len(self.map)
 
 
-@dataclass(frozen=True, slots=True)
 class Automorphism(Morphism):
     """A bijective morphism of a logic onto itself whose inverse is a
     morphism too.  The map alone is stored: the inverse is read off it."""
+
+    __slots__ = ()
 
     @property
     def inverse(self) -> tuple:
@@ -147,24 +177,37 @@ _EXTEND_ENTRIES = 1 << 15
 
 
 class _AtomExtender:
-    """Extends atom-position permutations to full element maps via masks.
+    """Extends atom-position permutations to full element maps.
 
     In a validated logic each element is the orthogonal join of the atoms
     below it (peel atoms off with axiom E, join them with axiom C), so
     elements have distinct atom masks and the order is mask inclusion.
-    Masks are ``np.int64`` below 63 atoms and Python ints, which have no
-    word limit, from 63 atoms on.
+    Atom i goes to atom sigma[i], a gather; every other element goes to
+    the element whose mask is the image of its own, found among the
+    sorted masks.  Masks are ``np.int64`` below 63 atoms and Python ints,
+    which have no word limit, from 63 atoms on.
     """
 
     def __init__(self, logic: FiniteLogic):
         self.logic = logic
-        self.k = len(logic.atoms)
+        self.atoms = np.array(logic.atoms, dtype=np.intp)
+        self.k = len(self.atoms)
         self.dtype = np.int64 if self.k < 63 else object
+        is_atom = np.zeros(logic.n, dtype=bool)
+        is_atom[self.atoms] = True
+        # the elements that are not atoms: the only mask work left
+        self.rest = np.flatnonzero(~is_atom)
         masks = np.array(logic.atom_masks, dtype=self.dtype)
-        self.bits = logic.leq[list(logic.atoms)].T.astype(self.dtype)
+        # bits[j, i]: atom i lies below element rest[j]
+        self.bits = logic.leq[np.ix_(self.atoms, self.rest)].T.astype(
+            self.dtype)
         self.sort_order = np.argsort(masks)
         self.sorted_masks = masks[self.sort_order]
         self.ortho = np.array(logic.ortho)
+        # T(e') = T(e)' for e also gives it for e'.  An atom whose
+        # complement is not an atom is covered by that complement.
+        self.ortho_cols = np.flatnonzero(~is_atom | is_atom[self.ortho])
+        self.ortho_of_cols = self.ortho[self.ortho_cols]
 
     def extend(self, sigma) -> Automorphism | None:
         """sigma[i] = new position of atom i; None if no automorphism."""
@@ -174,33 +217,42 @@ class _AtomExtender:
         """``extend`` of every permutation in one numpy pass: an
         ``Automorphism`` or None per row."""
         logic, n = self.logic, self.logic.n
-        S = np.asarray(sigmas, dtype=self.dtype).reshape(len(sigmas), self.k)
-        new_masks = (1 << S) @ self.bits.T
+        # element-major: images[e] holds the image of element e under each
+        # permutation, so each write below fills whole rows
+        S = np.asarray(sigmas, dtype=np.intp).reshape(len(sigmas), self.k).T
+        r = S.shape[1]
+        images = np.empty((n, r), dtype=np.intp)
+        images[self.atoms] = self.atoms[S]
+        new_masks = self.bits @ (1 << S.astype(self.dtype, copy=False))
         if logic.is_boolean:
             # a powerset's masks are exactly 0 .. n-1, so a mask is its own
             # index among the sorted masks, and every permutation extends
-            tmap = self.sort_order[new_masks]
+            images[self.rest] = self.sort_order[new_masks]
         else:
             idx = np.searchsorted(self.sorted_masks, new_masks)
             inside = idx < n
             idx[~inside] = 0
-            ok = inside.all(axis=1) & (
-                self.sorted_masks[idx] == new_masks).all(axis=1)
-            tmap = self.sort_order[idx]
+            ok = inside.all(axis=0) & (
+                self.sorted_masks[idx] == new_masks).all(axis=0)
+            images[self.rest] = self.sort_order[idx]
             # order preservation is mask inclusion, which any bit
             # permutation respects; equivariance of ' still needs a check
-            ok &= (tmap[:, self.ortho] == self.ortho[tmap]).all(axis=1)
+            ok &= (images[self.ortho_of_cols]
+                   == self.ortho[images[self.ortho_cols]]).all(axis=0)
             rows = np.flatnonzero(ok)
-            tmap = tmap[rows]
-        # a list per element column, zipped into one tuple per row: no
-        # list is made per row
+            if len(rows) < r:
+                images = images[:, rows]
+        # one flat list, a permutation's n images after each other, cut
+        # into tuples of n by zipping n references to one iterator: no
+        # list is made per row or per element, whatever the block's shape
+        flat = iter(images.ravel("F").tolist())
         autos = list(map(Automorphism, repeat(logic), repeat(logic),
-                         zip(*tmap.T.tolist())))
-        if len(autos) == len(S):
+                         zip(*[flat] * n)))
+        if len(autos) == r:
             return autos
-        out = [None] * len(S)
-        for r, auto in zip(rows.tolist(), autos):
-            out[r] = auto
+        out = [None] * r
+        for row, auto in zip(rows.tolist(), autos):
+            out[row] = auto
         return out
 
 
@@ -348,26 +400,35 @@ def _first_automorphism_with(logic: FiniteLogic, forced: dict, budget):
     return None, walked
 
 
-def iter_automorphisms(logic: FiniteLogic, budget=DEFAULT_SEARCH_BUDGET):
-    """Lazily enumerate the automorphism group in deterministic order.
-
-    Each block of atom permutations, at most about ``_EXTEND_ENTRIES``
-    element entries, is extended as the search hands it over.  When the
-    budget runs out, the automorphisms of the permutations already found
-    are yielded first, so a lazy consumer sees every automorphism before
-    the error.
-    """
+def _automorphism_blocks(logic: FiniteLogic, budget):
+    """The automorphisms of each block of atom permutations, at most
+    about ``_EXTEND_ENTRIES`` element entries, as the search hands the
+    block over.  When the budget runs out, the blocks already found come
+    first."""
     ext = _atom_extender(logic)
     rows = max(1, _EXTEND_ENTRIES // logic.n)
     for block in _atom_perm_blocks(logic, budget, rows):
-        for auto in ext.extend_many(block):
-            if auto is not None:
-                yield auto
+        yield filter(None, ext.extend_many(block))
+
+
+def iter_automorphisms(logic: FiniteLogic, budget=DEFAULT_SEARCH_BUDGET):
+    """Lazily enumerate the automorphism group in deterministic order.
+
+    When the budget runs out, the automorphisms of the permutations
+    already found are yielded first, so a lazy consumer sees every
+    automorphism before the error.
+    """
+    for autos in _automorphism_blocks(logic, budget):
+        yield from autos
 
 
 def automorphisms(logic: FiniteLogic, budget=DEFAULT_SEARCH_BUDGET):
-    """The complete automorphism group as a list."""
-    return list(iter_automorphisms(logic, budget))
+    """The complete automorphism group as a list, extended a block at a
+    time."""
+    group = []
+    for autos in _automorphism_blocks(logic, budget):
+        group += autos
+    return group
 
 
 # ---------------------------------------------------------------------------

@@ -821,29 +821,32 @@ def atom_perms_recursive(logic, budget):
     return nodes
 
 
-def extend_one(ext, sigma):
-    """One permutation through an ``_AtomExtender``'s masks, as a lookup
-    per element: the reference for ``_AtomExtender.extend_many``."""
-    logic = ext.logic
-    weights = 1 << np.array(sigma, dtype=ext.dtype)
-    new_masks = ext.bits @ weights
-    idx = np.searchsorted(ext.sorted_masks, new_masks)
-    if not logic.is_boolean:
-        if idx.max() >= logic.n or not np.array_equal(
-                ext.sorted_masks[idx], new_masks):
-            return None
-    tmap = ext.sort_order[idx]
-    if not logic.is_boolean:
-        if not np.array_equal(tmap[ext.ortho], ext.ortho[tmap]):
-            return None
-    return Automorphism(logic, logic, tuple(int(x) for x in tmap))
+def extend_one(logic, sigma):
+    """One atom permutation extended element by element: the atom mask of
+    each element read off ``logic.leq``, the mask of its image built bit
+    by bit, and the image looked up in a mask -> element dict.  The
+    reference for ``_AtomExtender.extend_many``, sharing none of its
+    arrays."""
+    sigma = [int(s) for s in sigma]
+    leq = logic.leq.tolist()
+    below = [[i for i, a in enumerate(logic.atoms) if leq[a][e]]
+             for e in range(logic.n)]
+    element = {sum(1 << i for i in atoms): e for e, atoms in enumerate(below)}
+    images = [element.get(sum(1 << sigma[i] for i in atoms))
+              for atoms in below]
+    if None in images:
+        return None
+    ortho = logic.ortho.tolist()
+    if any(images[ortho[e]] != ortho[images[e]] for e in range(logic.n)):
+        return None
+    return Automorphism(logic, logic, tuple(images))
 
 
-def automorphisms_by_oracle(logic, ext, budget):
+def automorphisms_by_oracle(logic, budget):
     """``iter_automorphisms`` one permutation at a time, through the two
     references above."""
     for sigma in atom_perms_recursive(logic, budget):
-        auto = extend_one(ext, sigma)
+        auto = extend_one(logic, sigma)
         if auto is not None:
             yield auto
 
@@ -864,7 +867,7 @@ def first_automorphism_scan(logic, extend, forced, budget):
     return None, scanned
 
 
-def clone_scan(problem, ext, budget):
+def clone_scan(problem, budget):
     """(permutations scanned, first cloner or None) of the scan above with
     each copied meet atom forced onto its input meet atom: the reference
     for the cloner and the count of ``cloning.clone_search``, walked or
@@ -874,5 +877,5 @@ def clone_scan(problem, ext, budget):
     forced = {pos[problem.copied_atom[e]]: pos[problem.input_atom[e]]
               for e in problem.C}
     cloner, scanned = first_automorphism_scan(
-        ambient, partial(extend_one, ext), forced, budget)
+        ambient, partial(extend_one, ambient), forced, budget)
     return scanned, cloner

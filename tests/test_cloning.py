@@ -273,15 +273,14 @@ def test_search_matches_oracle_scan_on_every_product_problem(prod22, prod33):
     problems = _all_problems(prod22) + _all_problems(prod33)
     assert len(problems) == 27
     for problem in problems:
-        ext = _atom_extender(problem.composite.ambient)
         report = clone_search(problem)
-        scanned, cloner = clone_scan(problem, ext, 10 ** 9)
+        scanned, cloner = clone_scan(problem, 10 ** 9)
         assert report.scanned == scanned
         assert report.cloner is not None
         assert report.cloner.map == cloner.map
         for budget in (scanned - 1, scanned):
             assert (_outcome(_searched, problem, budget)
-                    == _outcome(clone_scan, problem, ext, budget))
+                    == _outcome(clone_scan, problem, budget))
         assert _outcome(_searched, problem, scanned) == (scanned, cloner.map)
 
 

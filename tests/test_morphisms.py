@@ -1,6 +1,5 @@
 """Morphism validation, dual states, automorphism groups, Lemma 1."""
 
-import dataclasses
 import random
 from fractions import Fraction as F
 from itertools import chain, islice, permutations
@@ -32,6 +31,7 @@ from qlogic.errors import (
 from qlogic.fixtures import fixture_names, load_fixture
 from qlogic.morphisms import (
     Automorphism,
+    Morphism,
     _atom_extender,
     _atom_perm_blocks,
     _first_automorphism_with,
@@ -264,7 +264,7 @@ def _assert_search_and_extension_match_oracles(logic, data):
     k = len(logic.atoms)
     rows = data.draw(st.lists(st.permutations(range(k)).map(tuple),
                               min_size=1, max_size=12)) + perms[:3]
-    assert ext.extend_many(rows) == [extend_one(ext, r) for r in rows]
+    assert ext.extend_many(rows) == [extend_one(logic, r) for r in rows]
 
 
 _NAMED_LOGICS = {f"MO{n}": mo_logic(n) for n in (2, 3, 4)}
@@ -310,7 +310,7 @@ def _assert_first_automorphism_matches_oracle(logic, forced, reject=None):
                 for s, auto in zip(sigmas, real(sigmas))]
 
     def oracle_extend(sigma):
-        return None if sigma == reject else extend_one(ext, sigma)
+        return None if sigma == reject else extend_one(logic, sigma)
 
     def both(budget):
         with pytest.MonkeyPatch.context() as mp:
@@ -414,7 +414,7 @@ def test_block_extension_beyond_62_atoms():
     rows = _first_perms(logic, 3)
     rows += [tuple(rng.sample(range(k), k)) for _ in range(3)]
     got = ext.extend_many(rows)
-    assert got == [extend_one(ext, r) for r in rows]
+    assert got == [extend_one(logic, r) for r in rows]
     assert all(a is not None for a in got[:3])
     assert all(a is None for a in got[3:])
 
@@ -439,8 +439,7 @@ def test_budget_exhaustion_yields_the_same_prefix(budget, monkeypatch):
     # out; 40 element entries make blocks of 4 rows on its 10 elements,
     # so the larger budgets run out blocks after the first
     logic = validate_logic(mo_logic(4))
-    want = _drain(automorphisms_by_oracle(logic, _atom_extender(logic),
-                                          budget))
+    want = _drain(automorphisms_by_oracle(logic, budget))
     assert want[1] is not None
     for entries in (morphisms._EXTEND_ENTRIES, 40):
         monkeypatch.setattr(morphisms, "_EXTEND_ENTRIES", entries)
@@ -484,11 +483,18 @@ def test_automorphisms_are_slotted_values(mo2):
     t = autos[1]
     assert not hasattr(t, "__dict__")
     # the inverse is not stored: it is read off the map
-    assert [f.name for f in dataclasses.fields(Automorphism)] == [
-        "source", "target", "map"]
+    slots = [name for cls in reversed(Automorphism.__mro__)
+             for name in cls.__dict__.get("__slots__", ())]
+    assert slots == ["source", "target", "map"]
     # equal fields make equal, equally hashed automorphisms
     twin = validate_automorphism(mo2, t.map)
     assert twin == t and hash(twin) == hash(t)
+    assert hash(t) == hash((t.source, t.target, t.map))
+    # but a morphism with the same fields is not an automorphism
+    assert Morphism(mo2, mo2, t.map) != t
+    assert t != Morphism(mo2, mo2, t.map)
+    assert repr(t).startswith("Automorphism(source=")
+    assert repr(Morphism(mo2, mo2, t.map)).startswith("Morphism(source=")
     assert t.inverted().inverted() == t
     assert t.compose(t.inverted()).map == tuple(range(mo2.n))
 
@@ -563,7 +569,7 @@ def test_powerset_extension_matches_oracle_in_any_element_order(logic, data):
     rows = data.draw(st.lists(st.permutations(range(k)).map(tuple),
                               min_size=1, max_size=12))
     got = ext.extend_many(rows)
-    assert got == [extend_one(ext, r) for r in rows]
+    assert got == [extend_one(logic, r) for r in rows]
     assert all(t is not None for t in got)
 
 
