@@ -67,15 +67,14 @@ def boolean_algebra(k: int, atom_names: list[str] | None = None) -> LogicDescrip
     )
 
 
-def mo_logic(n_blocks: int, block_names: list[str] | None = None) -> LogicDescription:
+def mo_logic(n_blocks: int) -> LogicDescription:
     """The 'Chinese lantern' MO_n: n orthogonal pairs pasted at 0 and 1."""
     if n_blocks < 1:
         raise LogicInputError("MO_n needs at least one block")
-    if block_names is None:
-        if n_blocks <= len(_BLOCK_ALPHABET):
-            block_names = list(_BLOCK_ALPHABET[:n_blocks])
-        else:
-            block_names = [f"a{i + 1}" for i in range(n_blocks)]
+    if n_blocks <= len(_BLOCK_ALPHABET):
+        block_names = list(_BLOCK_ALPHABET[:n_blocks])
+    else:
+        block_names = [f"a{i + 1}" for i in range(n_blocks)]
     labels = ["0"]
     for name in block_names:
         labels += [name, name + "'"]

@@ -36,7 +36,7 @@ from .composite import (
 )
 from .errors import (
     CertificateFailed,
-    ConstructionFailed,
+    InternalInvariantError,
     LogicInputError,
     NotBoolean,
     PreconditionFailed,
@@ -128,7 +128,7 @@ def classical_cloner(problem: CloneProblem) -> Automorphism:
         sigma[i], sigma[j] = sigma[j], sigma[i]
     auto = _atom_extender(ambient).extend(tuple(sigma))
     if auto is None:
-        raise ConstructionFailed("atom transposition does not extend")
+        raise InternalInvariantError("atom transposition does not extend")
     return auto
 
 

@@ -48,12 +48,10 @@ class CompositeLogic:
     _cache: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
 
-    def to_dict(self, factor_ref=None, ambient_ref=None) -> dict:
+    def to_dict(self) -> dict:
         return {
-            "factor": factor_ref if factor_ref is not None
-            else self.factor.describe().to_dict(),
-            "ambient": ambient_ref if ambient_ref is not None
-            else self.ambient.describe().to_dict(),
+            "factor": self.factor.describe().to_dict(),
+            "ambient": self.ambient.describe().to_dict(),
             "pi1": list(self.pi1.map),
             "pi2": list(self.pi2.map),
         }

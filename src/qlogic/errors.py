@@ -165,13 +165,6 @@ class PreconditionFailed(QLogicError):
     """A documented precondition of the operation does not hold."""
 
 
-class ConstructionFailed(QLogicError):
-    """An internally constructed map failed its own verification."""
-
-    exit_code = 4
-    kind = "internal"
-
-
 class CertificateFailed(Refuted):
     """The no-cloning certificate found a mismatching value pair."""
 

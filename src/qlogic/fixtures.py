@@ -1,12 +1,15 @@
 """Bundled corpus of example logics, composites and demo vectors.
 
-Fixture files live in ``fixtures_data/`` as logic interchange files plus
-one manifest carrying derived annotations (axiom verdicts, atom counts,
-state-condition verdicts, automorphism group orders).  Annotations are
-regression baselines: loading re-derives the cheap ones and fails on any
-mismatch; ``verify_fixture(deep=True)`` re-derives the expensive ones.
-A few annotations marked "deferred" (the big product's group order) are
-exercised by the acceptance suite instead of at load time.
+Each fixture's payload (a logic interchange dict, a composite with its
+factor and ambient inline, or named demo vectors) is built by
+``qlogic.builders`` on its first load in a process.  ``fixtures_data/
+manifest.json`` holds each fixture's kind and its derived annotations
+(axiom verdicts, atom counts, state-condition verdicts, automorphism group
+orders).  Annotations are regression baselines: loading re-derives the
+cheap ones and fails on any mismatch; ``verify_fixture(deep=True)``
+re-derives the expensive ones.  A few annotations marked "deferred" (the
+big product's group order) are exercised by the acceptance suite instead
+of at load time.  The tests pin the SHA-256 of every exported payload.
 """
 
 from __future__ import annotations
@@ -35,20 +38,38 @@ from .states import (
     face,
 )
 
-def _read_data_json(fname: str) -> dict:
-    return json.loads(
-        (resources.files("qlogic") / "fixtures_data" / fname)
-        .read_text(encoding="utf-8")
-    )
 
-FIXTURE_NAMES = (
-    "boolean1", "boolean2", "boolean3", "boolean4",
-    "MO1", "MO2", "MO3",
-    "O6",
-    "nonfaithful", "stateless",
-    "prod22", "prod33",
-    "hilbert_demo",
-)
+def _boolean_product(k: int) -> dict:
+    return boolean_product(validate_logic(builders.boolean_algebra(k))).to_dict()
+
+
+def _hilbert_demo() -> dict:
+    r = 2 ** -0.5
+    return {"vectors": {
+        "basis0": [[1.0, 0.0], [0.0, 0.0]],
+        "basis1": [[0.0, 0.0], [1.0, 0.0]],
+        "plus": [[r, 0.0], [r, 0.0]],
+        "minus": [[r, 0.0], [-r, 0.0]],
+    }}
+
+
+# name -> zero-argument function building the fixture's payload, in the
+# order ``fixture list`` prints
+_PAYLOADS = {
+    "boolean1": lambda: builders.boolean_algebra(1).to_dict(),
+    "boolean2": lambda: builders.boolean_algebra(2).to_dict(),
+    "boolean3": lambda: builders.boolean_algebra(3).to_dict(),
+    "boolean4": lambda: builders.boolean_algebra(4).to_dict(),
+    "MO1": lambda: builders.mo_logic(1).to_dict(),
+    "MO2": lambda: builders.mo_logic(2).to_dict(),
+    "MO3": lambda: builders.mo_logic(3).to_dict(),
+    "O6": lambda: builders.hexagon_o6().to_dict(),
+    "nonfaithful": lambda: builders.nonfaithful_logic().to_dict(),
+    "stateless": lambda: builders.stateless_logic().to_dict(),
+    "prod22": lambda: _boolean_product(2),
+    "prod33": lambda: _boolean_product(3),
+    "hilbert_demo": _hilbert_demo,
+}
 
 
 @dataclass
@@ -92,11 +113,14 @@ def _inline_composite(data: dict) -> CompositeLogic:
 
 
 def fixture_names() -> tuple:
-    return FIXTURE_NAMES
+    return tuple(_PAYLOADS)
 
 
 def _manifest() -> dict:
-    return _read_data_json("manifest.json")
+    return json.loads(
+        (resources.files("qlogic") / "fixtures_data" / "manifest.json")
+        .read_text(encoding="utf-8")
+    )
 
 
 @functools.cache
@@ -106,15 +130,13 @@ def load_fixture(name: str) -> LoadedFixture:
     Loaded fixtures are cached per name so derived structures (state
     spaces, condition verdicts) are shared across uses.
     """
-    manifest = _manifest()
-    if name not in manifest:
+    if name not in _PAYLOADS:
         raise UnknownFixture(
-            f"unknown fixture {name!r}; available: {', '.join(sorted(manifest))}"
+            f"unknown fixture {name!r}; available: {', '.join(sorted(_PAYLOADS))}"
         )
-    entry = manifest[name]
-    data = _read_data_json(entry["file"])
+    entry = _manifest()[name]
     fx = LoadedFixture(name=name, kind=entry["kind"],
-                       annotations=entry["annotations"], data=data)
+                       annotations=entry["annotations"], data=_PAYLOADS[name]())
     _verify(fx, deep=False)
     return fx
 
@@ -179,31 +201,3 @@ def verify_fixture(name: str, deep: bool = False) -> dict:
     empty state space are recomputed too (except annotations listed under
     "deferred", which the acceptance suite covers)."""
     return _verify(load_fixture(name), deep)
-
-
-# ---------------------------------------------------------------------------
-# construction (the catalog self-consistency test rebuilds every file)
-# ---------------------------------------------------------------------------
-
-def build_fixture_payloads() -> dict:
-    """Construct every fixture description from scratch."""
-    payloads = {}
-    for k in range(1, 5):
-        payloads[f"boolean{k}"] = builders.boolean_algebra(k).to_dict()
-    for k in range(1, 4):
-        payloads[f"MO{k}"] = builders.mo_logic(k).to_dict()
-    payloads["O6"] = builders.hexagon_o6().to_dict()
-    payloads["nonfaithful"] = builders.nonfaithful_logic().to_dict()
-    payloads["stateless"] = builders.stateless_logic().to_dict()
-    for name, k in (("prod22", 2), ("prod33", 3)):
-        comp = boolean_product(validate_logic(builders.boolean_algebra(k)))
-        payloads[name] = comp.to_dict()
-    payloads["hilbert_demo"] = {
-        "vectors": {
-            "basis0": [[1.0, 0.0], [0.0, 0.0]],
-            "basis1": [[0.0, 0.0], [1.0, 0.0]],
-            "plus": [[2 ** -0.5, 0.0], [2 ** -0.5, 0.0]],
-            "minus": [[2 ** -0.5, 0.0], [-(2 ** -0.5), 0.0]],
-        }
-    }
-    return payloads

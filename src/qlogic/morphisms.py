@@ -80,9 +80,6 @@ class Morphism:
         return (f"{type(self).__name__}(source={self.source!r}, "
                 f"target={self.target!r}, map={self.map!r})")
 
-    def __call__(self, e: int) -> int:
-        return self.map[e]
-
     @property
     def is_injective(self) -> bool:
         return len(set(self.map)) == len(self.map)

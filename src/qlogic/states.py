@@ -110,9 +110,9 @@ class State:
         )
         return f"State({shown}{'...' if len(self.logic.atoms) > 6 else ''})"
 
-    def to_dict(self, logic_ref=None) -> dict:
+    def to_dict(self) -> dict:
         return {
-            "logic": logic_ref if logic_ref is not None else self.logic.describe().to_dict(),
+            "logic": self.logic.describe().to_dict(),
             "values": [format_rational(v) for v in self.values],
         }
 

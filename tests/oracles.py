@@ -429,6 +429,14 @@ def certificate_rows_per_call(problem, T):
     return tuple(rows)
 
 
+def vertex_without_conditional_per_vertex(space, verts, e):
+    """The first vertex v with v[e] != 0 whose conditional system on e,
+    built anew, is infeasible, or None: the reference for
+    ``states._vertex_without_conditional``."""
+    return next((v for v in verts if v[e] != 0 and not space.feasible(
+        _conditional_rows(space, v, e))), None)
+
+
 def unique_conditionals_per_vertex(logic, budget=100_000):
     """Condition (G) as ``states.check_condition_G`` decided it before it
     read the stored face of an atom: the existence test builds the
@@ -440,13 +448,12 @@ def unique_conditionals_per_vertex(logic, budget=100_000):
         if e == logic.zero or all(v[e] == 0 for v in verts):
             continue
         if not logic.is_boolean:
-            for v in verts:
-                if v[e] != 0 and not space.feasible(
-                        _conditional_rows(space, v, e)):
-                    return UniqueConditionalsReport(
-                        holds=False, failure_kind="non_existent",
-                        element=e, vertex=v,
-                    )
+            v = vertex_without_conditional_per_vertex(space, verts, e)
+            if v is not None:
+                return UniqueConditionalsReport(
+                    holds=False, failure_kind="non_existent",
+                    element=e, vertex=v,
+                )
         gap = _uniqueness_gap(space, e)
         if gap is not None:
             return UniqueConditionalsReport(

@@ -6,6 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from qlogic.builders import boolean_algebra, equality_gadget_blocks, greechie
 from qlogic.cli import build_parser, main
 from qlogic.core import LogicDescription, validate_logic
 from qlogic.errors import CertificateFailed, InternalInvariantError
@@ -48,6 +49,20 @@ def test_validate_rejects_hexagon_with_witness(fixture_files, capsys):
     assert set(payload["witness"]) == {"x", "y"}
 
 
+def test_validate_rejects_a_cyclic_order(capsys, tmp_path):
+    # not a partial order: the verdict names no axiom
+    path = tmp_path / "cyclic.json"
+    path.write_text(json.dumps({
+        "labels": ["0", "a", "b", "1"],
+        "le": [[0, 1], [1, 2], [2, 1], [2, 3]],
+        "ortho": [3, 2, 1, 0], "zero": 0, "one": 3}))
+    code, out = run(capsys, "validate", str(path), "--format", "json")
+    payload = json.loads(out)
+    assert code == 1 and payload["verdict"] == "invalid"
+    assert "antisymmetry fails" in payload["detail"]
+    assert "axiom" not in payload
+
+
 def test_check_G_fails_on_mo2_with_witnesses(fixture_files, capsys):
     code, out = run(capsys, "check", "G", fixture_files["MO2"],
                     "--format", "json")
@@ -62,6 +77,21 @@ def test_check_F_and_H_hold(fixture_files, capsys):
     for cond in ("F", "H"):
         code, out = run(capsys, "check", cond, fixture_files["MO2"])
         assert code == 0, out
+
+
+def test_check_H_fails_with_evidence(capsys, tmp_path):
+    # the gadget forces values that the order does not: every state with
+    # value 1 on gc2 has value 1 on r', which gc2 is not below
+    logic = greechie(equality_gadget_blocks("l", "r", "g")
+                     + [("l", "u", "v"), ("r", "s", "t")])
+    assert len(logic.labels) == 30
+    path = tmp_path / "gadget.json"
+    path.write_text(json.dumps(logic.to_dict()))
+    code, out = run(capsys, "check", "H", str(path), "--format", "json")
+    payload = json.loads(out)
+    assert code == 1 and payload["holds"] is False
+    assert payload["violating_pair"] == ["r'", "gc2"]
+    assert "evidence_state" in payload
 
 
 def test_transprob_json_on_array_kernel(fixture_files, capsys):
@@ -343,8 +373,25 @@ def test_product_command(fixture_files, capsys, tmp_path):
     assert code == 0
     code, out = run(capsys, "check-J", out_path)
     assert code == 0
+    code, out = run(capsys, "product", fixture_files["boolean2"],
+                    "--format", "json")
+    assert code == 0
+    assert set(json.loads(out)["composite"]) == {"factor", "ambient",
+                                                 "pi1", "pi2"}
     code, out = run(capsys, "product", fixture_files["MO2"])
     assert code == 2  # not Boolean: precondition, not refutation
+
+
+def test_check_J_fails_on_identity_embeddings(capsys, tmp_path):
+    # both copies of B2 are B2 itself, so x ^ y is 0, not an atom
+    b2 = boolean_algebra(2).to_dict()
+    path = tmp_path / "b2_twice.json"
+    path.write_text(json.dumps({"factor": b2, "ambient": b2,
+                                "pi1": [0, 1, 2, 3], "pi2": [0, 1, 2, 3]}))
+    code, out = run(capsys, "check-J", str(path), "--format", "json")
+    payload = json.loads(out)
+    assert code == 1
+    assert (payload["failing_pair"], payload["meet"]) == (["x", "y"], "0")
 
 
 def test_lemma_commands(fixture_files, capsys, tmp_path):
@@ -361,6 +408,9 @@ def test_lemma_commands(fixture_files, capsys, tmp_path):
     code, out = run(capsys, "lemma2", fixture_files["prod22"],
                     "--format", "json")
     assert code == 0 and json.loads(out)["tuples_checked"] == 100
+    code, out = run(capsys, "lemma2", fixture_files["prod22"],
+                    "--events", "x", "x", "y", "y", "--format", "json")
+    assert code == 0 and json.loads(out)["tuples_checked"] == 1
     code, out = run(capsys, "lemma3", fixture_files["prod22"],
                     "--format", "json")
     assert code == 0 and json.loads(out)["states_checked"] == 4
@@ -421,6 +471,37 @@ def test_hilbert_subcommands(capsys, tmp_path):
     code, out = run(capsys, "hilbert", "lemma2", "--dim", "2",
                     "--trials", "25", "--seed", "3", "--format", "json")
     assert code == 0 and json.loads(out)["max_residual"] <= 1e-9
+
+    def matrix(name, rows):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps([[[x, 0] for x in row] for row in rows]))
+        return str(path)
+
+    plus = matrix("plus", [[0.5, 0.5], [0.5, 0.5]])
+    unit = matrix("unit", [[1, 0], [0, 1]])
+    code, out = run(capsys, "hilbert", "condprob", "--density", plus,
+                    "--e", unit, "--f", str(proj), "--format", "json")
+    assert code == 0 and abs(json.loads(out)["value"] - 0.5) < 1e-12
+    code, out = run(capsys, "hilbert", "transition", "--e", str(proj),
+                    "--f", plus, "--format", "json")
+    assert code == 0 and json.loads(out)["exists"] is True
+
+    code, out = run(capsys, "hilbert", "embed", "--e", str(proj),
+                    "--side", "first", "--other-dim", "2", "--format", "json")
+    payload = json.loads(out)
+    assert code == 0 and (payload["dim"], payload["rank"]) == (4, 2)
+    assert len(payload["matrix"]) == 4
+
+    # the basis copy unitary |i>|0> -> |i>|i> clones the basis, not |+>
+    copy = matrix("copy", [[1, 0, 0, 0], [0, 1, 0, 0],
+                           [0, 0, 0, 1], [0, 0, 1, 0]])
+    code, out = run(capsys, "hilbert", "clone-test", "--unitary", copy,
+                    "--C", "1,0;0,1", "--f", "1,0", "--format", "json")
+    assert code == 0 and json.loads(out)["clones"] is True
+    code, out = run(capsys, "hilbert", "clone-test", "--unitary", copy,
+                    "--C", "1,0;0.7071067811865476,0.7071067811865476",
+                    "--f", "1,0", "--format", "json")
+    assert code == 1 and json.loads(out)["clones"] is False
 
 
 def test_condprob_round_trip(fixture_files, capsys, tmp_path):

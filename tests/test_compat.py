@@ -285,6 +285,44 @@ def test_search_grows_past_a_closure_that_is_not_boolean():
     assert verdict.witness == closure(logic, {a, b, c, d})
 
 
+def _direct_product(left, right):
+    """left x right: pairs ordered and complemented componentwise; the
+    covers of the product come from each factor's covers."""
+    n = right.n
+    return validate_logic(LogicDescription(
+        tuple(f"({p},{q})" for p in left.labels for q in right.labels),
+        tuple((i * n + q, j * n + q)
+              for i, j in left.cover_pairs for q in range(n))
+        + tuple((p * n + i, p * n + j)
+                for p in range(left.n) for i, j in right.cover_pairs),
+        tuple(int(left.ortho[p]) * n + int(right.ortho[q])
+              for p in range(left.n) for q in range(n)),
+        left.zero * n + right.zero, left.one * n + right.one))
+
+
+def test_witness_is_the_first_of_two_splitting_blocks():
+    # in B4 x MO2 both blocks, B4's atoms with (0,a), (0,a') and with
+    # (0,b), (0,b'), split ({x,y},0) and ({y,z},0), whose 6-element
+    # closure is not Boolean; the witness is the first block's algebra
+    logic = _direct_product(validate_logic(boolean_algebra(4)),
+                            validate_logic(mo_logic(2)))
+    assert (logic.n, len(logic.atoms), len(blocks(logic))) == (96, 8, 2)
+    members = {logic.index("({x,y},0)"), logic.index("({y,z},0)")}
+    base = closure(logic, members)
+    assert len(base) == 6 and not is_boolean_subalgebra(logic, base)
+
+    def algebra(mo2_part):
+        return frozenset(i for i, lbl in enumerate(logic.labels)
+                         if lbl.rsplit(",", 1)[1][:-1] in mo2_part)
+
+    verdict = is_compatible_subset(logic, members)
+    assert verdict == CompatibilityVerdict(True, algebra({"0", "a", "a'", "1"}))
+    assert verdict.witness != algebra({"0", "b", "b'", "1"})
+    assert len(verdict.witness) == 64
+    elems = sorted(verdict.witness)
+    assert is_boolean_lattice(logic.leq[np.ix_(elems, elems)])
+
+
 _FIXTURES = {name: load_fixture(name).logic()
              for name in ("MO1", "MO2", "MO3", "boolean3")}
 

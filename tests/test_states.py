@@ -8,9 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    atomic_state_per_call,
     classical_cross_check,
+    conditional_lp,
     enumerate_vertices_dd,
     unique_conditionals_per_vertex,
+    uniqueness_gap,
+    vertex_without_conditional_per_vertex,
 )
 from qlogic import cli
 from qlogic import rational_lp as rlp
@@ -31,14 +35,19 @@ from qlogic.errors import (
     UndefinedTransition,
     ZeroCondition,
 )
+from qlogic.fixtures import load_fixture
 from qlogic.states import (
     State,
+    _polytope_vertices,
+    _uniqueness_gap,
+    _vertex_without_conditional,
     atom_equivalences,
     atomic_state,
     check_condition_F,
     check_condition_G,
     check_condition_H,
     conditional_probability,
+    face,
     reduced_space,
     state_polytope,
     transition_probability,
@@ -228,6 +237,18 @@ def test_zero_condition_rejected(b3):
         conditional_probability(b3, v, b3.zero)
 
 
+def test_conditional_does_not_exist_at_the_largest_value():
+    # the states of nonfaithful give y at most 1/3, so none gives y the
+    # value 1, which a conditional of rho on the atom y would
+    logic = load_fixture("nonfaithful").logic()
+    space, y = reduced_space(logic), logic.index("y")
+    rho = space.state(face(logic).solve(space.indicator(y), maximize=True).x)
+    assert rho[y] == F(1, 3)
+    res = conditional_probability(logic, rho, y)
+    assert res.kind == "non_existent"
+    assert res == conditional_lp(logic, rho, y)
+
+
 def test_formulation_cross_check_silent_on_fixtures(booleans, mo2):
     # the constraint form (events below e) and the classical-ratio form
     # (events compatible with e) must carve out the same conditionals
@@ -319,6 +340,40 @@ def test_condition_G_reads_the_stored_atom_face(monkeypatch):
     assert len(built) == len(set(built)) == 3
     face_a = space.system(space.face_rows(a))
     assert (tuple(map(tuple, face_a[0])), tuple(face_a[1])) in built
+
+
+def _two_triangles():
+    """Blocks abc and ade sharing the atom a."""
+    return validate_logic(greechie([("a", "b", "c"), ("a", "d", "e")]))
+
+
+@pytest.mark.parametrize("make, conditionable, gapless", [
+    (lambda: validate_logic(mo_logic(2)), ["1"], ["1"]),
+    (lambda: validate_logic(mo_logic(3)), ["1"], ["1"]),
+    (_two_triangles, ["a'", "b'", "c'", "d'", "e'", "1"], ["a'", "1"]),
+])
+def test_condition_G_on_non_atoms_matches_the_oracles(make, conditionable,
+                                                      gapless):
+    # G stops at an atom on these logics before it reaches a non-atom.
+    # Each atom lies below a' or below a, and below 1, so the pre-test
+    # finds no gap there without an LP
+    logic = make()
+    space, verts = reduced_space(logic), _polytope_vertices(logic)
+    non_atoms = [e for e in range(logic.n)
+                 if e != logic.zero and not logic.is_atom(e)
+                 and any(v[e] != 0 for v in verts)]
+    assert [logic.labels[e] for e in non_atoms] == conditionable
+    no_gap = []
+    for e in non_atoms:
+        assert (_vertex_without_conditional(space, verts, e)
+                == vertex_without_conditional_per_vertex(space, verts, e))
+        gap, ref = _uniqueness_gap(space, e), uniqueness_gap(space, e)
+        assert (gap is None) is (ref is None)
+        if gap is None:
+            no_gap.append(logic.labels[e])
+        else:
+            assert [w.values for w in gap] == [w.values for w in ref]
+    assert no_gap == gapless
 
 
 def test_strong_state_space_on_fixtures(booleans, mo_logics):
@@ -506,6 +561,21 @@ def test_atomic_state_requires_atom(b3):
 def test_atomic_state_not_unique_on_mo2(mo2):
     with pytest.raises(NotUnique):
         atomic_state(mo2, mo2.index("a"))
+
+
+def test_atomic_state_on_a_pasting_is_the_point_mass():
+    logic = _two_triangles()
+    a = logic.index("a")
+    st_a = atomic_state(logic, a)
+    assert st_a.values == tuple(F(int(logic.leq[a, f])) for f in range(logic.n))
+    assert st_a == atomic_state_per_call(logic, a)
+
+
+def test_atomic_state_needs_a_state_on_the_atom():
+    logic = load_fixture("nonfaithful").logic()
+    with pytest.raises(NotUnique,
+                       match="no state assigns probability 1 to atom 'x'"):
+        atomic_state(logic, logic.index("x"))
 
 
 def test_atomic_state_of_unit_in_two_element_logic(booleans):
